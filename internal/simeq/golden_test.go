@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -17,35 +18,59 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.json from the c
 // goldenBenchmarks spans the three sensitivity classes (§6.2).
 var goldenBenchmarks = []string{"bfs", "lud", "blackScholes"}
 
-// goldenSchemes covers the mesh baseline, the full ARI design and the
-// DA2mesh overlay reply fabric.
-var goldenSchemes = []core.Scheme{core.XYBaseline, core.AdaARI, core.DA2MeshBase}
+// goldenExtras are configurations beyond the scheme matrix whose router
+// paths the plain schemes never reach: a chaos schedule (flit-corruption
+// bursts plus permanent link deaths, so waiting VCs re-route after a kill)
+// and a router at the validator's VC limit (32 VCs on six MultiPort input
+// ports: 192 input VCs, more than one 64-bit word of VC-set state).
+var goldenExtras = []struct {
+	name  string
+	bench string
+	apply func(*core.Config)
+}{
+	{"bfs/Ada-ARI/chaos", "bfs", func(c *core.Config) {
+		c.Scheme = core.AdaARI
+		c.Fault = fault.ChaosConfig(7)
+		c.Fault.LinkDeathProb = 0.01
+	}},
+	{"bfs/Ada-MultiPort/vcs32", "bfs", func(c *core.Config) {
+		c.Scheme = core.AdaMultiPort
+		c.VCs = 32
+	}},
+}
 
-// TestGoldenDeterminism runs each benchmark x scheme pair twice with the
-// same seed and requires byte-identical encoded Results, then pins the
-// encoding against the committed golden file. The first check catches
+// TestGoldenDeterminism runs each benchmark x scheme pair (every scheme)
+// and each goldenExtras configuration twice with the same seed and requires
+// byte-identical encoded Results, then pins the encoding against the
+// committed golden file. The first check catches
 // nondeterminism introduced within a binary (map iteration, pointer-keyed
 // ordering, uninitialised state); the second catches silent cross-commit
 // drift in the simulated model.
 func TestGoldenDeterminism(t *testing.T) {
-	doc := make(map[string]json.RawMessage, len(goldenBenchmarks)*len(goldenSchemes))
-	for _, name := range goldenBenchmarks {
-		k, err := trace.ByName(name)
+	doc := make(map[string]json.RawMessage, len(goldenBenchmarks)*core.NumSchemes+len(goldenExtras))
+	pin := func(key, bench string, cfg core.Config) {
+		k, err := trace.ByName(bench)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range goldenSchemes {
+		first := RunEncoded(t, cfg, k)
+		second := RunEncoded(t, cfg, k)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: two runs with the same seed diverged\n%s", key, diffLine(first, second))
+		}
+		doc[key] = json.RawMessage(first)
+	}
+	for _, name := range goldenBenchmarks {
+		for s := core.Scheme(0); int(s) < core.NumSchemes; s++ {
 			cfg := ShortConfig()
 			cfg.Scheme = s
-
-			first := RunEncoded(t, cfg, k)
-			second := RunEncoded(t, cfg, k)
-			if !bytes.Equal(first, second) {
-				t.Fatalf("%s/%s: two runs with the same seed diverged\n%s",
-					name, s, diffLine(first, second))
-			}
-			doc[name+"/"+s.String()] = json.RawMessage(first)
+			pin(name+"/"+s.String(), name, cfg)
 		}
+	}
+	for _, x := range goldenExtras {
+		cfg := ShortConfig()
+		x.apply(&cfg)
+		pin(x.name, x.bench, cfg)
 	}
 
 	got, err := json.MarshalIndent(doc, "", "  ")
