@@ -14,7 +14,11 @@ import "fmt"
 //  3. ownership coherence: a downstream VC owned by an input VC is the
 //     one that input VC is actively forwarding into, and vice versa;
 //  4. wormhole contiguity: within any VC buffer, flits form contiguous
-//     ascending runs per packet and packets never interleave.
+//     ascending runs per packet and packets never interleave;
+//  5. pipeline-state coherence: each router's waiting, active and
+//     RC-pending VC sets and free-VC masks equal a recount of VC states and
+//     ownership, and its credit-pending flag is set exactly when some
+//     output has staged credits.
 func (n *Network) CheckInvariants() error {
 	if err := n.checkRecovery(); err != nil {
 		return err
@@ -93,6 +97,10 @@ func (n *Network) checkRouter(r *router) error {
 	}
 	if recount != e.flitCount() {
 		return fmt.Errorf("ejector activity counter %d != recounted %d flits", e.flitCount(), recount)
+	}
+
+	if err := checkPipelineState(r); err != nil {
+		return err
 	}
 
 	// (1) and (4): buffer bounds and contiguity.
@@ -176,6 +184,45 @@ func (n *Network) checkRouter(r *router) error {
 					p, v, ni.vcCredits[p][v], vc.buf.len(), staged, depth)
 			}
 		}
+	}
+	return nil
+}
+
+// checkPipelineState verifies (5): the incremental VC sets and flags the
+// allocators visit instead of scanning must agree with the VC states they
+// summarise, or a VC would silently drop out of RC, VA or SA.
+func checkPipelineState(r *router) error {
+	for _, vc := range r.allVCs {
+		i := vc.globalIdx
+		if got, want := r.waitSet.has(i), vc.state == vcWaitVC; got != want {
+			return fmt.Errorf("vc %d: in waiting set = %v, state %d", i, got, vc.state)
+		}
+		if got, want := r.activeSet.has(i), vc.state == vcActive; got != want {
+			return fmt.Errorf("vc %d: in active set = %v, state %d", i, got, vc.state)
+		}
+		if got, want := r.rcSet.has(i), vc.state == vcIdle && !vc.buf.empty(); got != want {
+			return fmt.Errorf("vc %d: in RC-pending set = %v, state %d with %d flits", i, got, vc.state, vc.buf.len())
+		}
+	}
+	staged := false
+	for _, op := range r.out {
+		var free uint32
+		if op.destPort != nil || op.eject != nil {
+			for v := range op.vcs {
+				if op.vcs[v].owner == -1 {
+					free |= 1 << uint(v)
+				}
+			}
+		}
+		if op.freeVCs != free {
+			return fmt.Errorf("out %d: free-VC mask %#x != recounted %#x", op.index, op.freeVCs, free)
+		}
+		for _, c := range op.creditIn {
+			staged = staged || c != 0
+		}
+	}
+	if r.creditPending != staged {
+		return fmt.Errorf("credit-pending flag %v but staged credits present = %v", r.creditPending, staged)
 	}
 	return nil
 }

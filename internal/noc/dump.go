@@ -93,44 +93,47 @@ func (n *Network) DumpState() string {
 // reassembly buffers).
 func (n *Network) forEachBufferedPacket(visit func(*Packet)) {
 	seen := make(map[*Packet]bool)
-	mark := func(p *Packet) {
+	n.forEachBufferedFlit(func(p *Packet) {
 		if !seen[p] {
 			seen[p] = true
 			visit(p)
 		}
+	})
+}
+
+// forEachBufferedFlit calls visit with the packet of every flit resident in
+// the network, so a multi-flit packet is visited once per resident flit.
+func (n *Network) forEachBufferedFlit(visit func(*Packet)) {
+	queue := func(q *flitQueue) {
+		for i := 0; i < q.len(); i++ {
+			visit(q.at(i).pkt)
+		}
+	}
+	staged := func(arrivals []stagedFlit) {
+		for _, sf := range arrivals {
+			visit(sf.f.pkt)
+		}
 	}
 	for _, ni := range n.nis {
 		if ni.queue != nil {
-			for i := 0; i < ni.queue.len(); i++ {
-				mark(ni.queue.at(i).pkt)
-			}
+			queue(ni.queue)
 		}
 		for _, q := range ni.splitQueues {
-			for i := 0; i < q.len(); i++ {
-				mark(q.at(i).pkt)
-			}
+			queue(q)
 		}
 	}
 	for _, r := range n.routers {
 		for _, ip := range r.in {
-			for _, sf := range ip.arrivals {
-				mark(sf.f.pkt)
-			}
+			staged(ip.arrivals)
 			for _, vc := range ip.vcs {
-				for i := 0; i < vc.buf.len(); i++ {
-					mark(vc.buf.at(i).pkt)
-				}
+				queue(vc.buf)
 			}
 		}
 	}
 	for _, e := range n.ejectors {
-		for _, sf := range e.arrivals {
-			mark(sf.f.pkt)
-		}
+		staged(e.arrivals)
 		for _, q := range e.vcs {
-			for i := 0; i < q.len(); i++ {
-				mark(q.at(i).pkt)
-			}
+			queue(q)
 		}
 	}
 }
@@ -154,11 +157,17 @@ func (n *Network) OldestPackets(k int) []*Packet {
 }
 
 // OldestPacketAge returns the age in cycles of the oldest in-flight packet,
-// or 0 when the network holds none.
+// or 0 when the network holds none: the CreatedAt of OldestPackets(1)[0],
+// found by an allocation-free min-scan because the watchdog polls it.
 func (n *Network) OldestPacketAge() int64 {
-	old := n.OldestPackets(1)
-	if len(old) == 0 {
+	found, oldest := false, int64(0)
+	n.forEachBufferedFlit(func(p *Packet) {
+		if !found || p.CreatedAt < oldest {
+			found, oldest = true, p.CreatedAt
+		}
+	})
+	if !found {
 		return 0
 	}
-	return n.now - old[0].CreatedAt
+	return n.now - oldest
 }

@@ -82,6 +82,7 @@ func (e *ejector) consume(now int64) {
 		f := e.vcs[v].pop()
 		e.addFlits(-1)
 		e.backOut.creditIn[v]++
+		e.backOut.router.creditPending = true
 		e.net.stats.EjectFlits++
 		if f.bad && e.vcBad != nil {
 			e.vcBad[v] = true

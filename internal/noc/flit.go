@@ -134,19 +134,29 @@ func newFlitQueue(capacity int) *flitQueue {
 	return &flitQueue{buf: make([]flit, capacity)}
 }
 
-func (q *flitQueue) len() int      { return q.size }
-func (q *flitQueue) cap() int      { return len(q.buf) }
-func (q *flitQueue) free() int     { return len(q.buf) - q.size }
-func (q *flitQueue) empty() bool   { return q.size == 0 }
-func (q *flitQueue) full() bool    { return q.size == len(q.buf) }
-func (q *flitQueue) front() flit   { return q.buf[q.head] }
-func (q *flitQueue) at(i int) flit { return q.buf[(q.head+i)%len(q.buf)] }
+func (q *flitQueue) len() int    { return q.size }
+func (q *flitQueue) cap() int    { return len(q.buf) }
+func (q *flitQueue) free() int   { return len(q.buf) - q.size }
+func (q *flitQueue) empty() bool { return q.size == 0 }
+func (q *flitQueue) full() bool  { return q.size == len(q.buf) }
+func (q *flitQueue) front() flit { return q.buf[q.head] }
+func (q *flitQueue) at(i int) flit {
+	i += q.head
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return q.buf[i]
+}
 
 func (q *flitQueue) push(f flit) {
 	if q.full() {
 		panic("noc: flit queue overflow")
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = f
+	i := q.head + q.size
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = f
 	q.size++
 }
 
@@ -155,7 +165,9 @@ func (q *flitQueue) pop() flit {
 		panic("noc: flit queue underflow")
 	}
 	f := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.size--
 	return f
 }

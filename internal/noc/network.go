@@ -132,11 +132,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 			// the neighbour.
 			dst := n.routers[nb].in[int(d.opposite())]
 			r.out[int(d)].destPort = dst
+			r.out[int(d)].freeVCs = maskAll(cfg.VCs)
 			dst.upstream = r.out[int(d)]
 			meshLinks++
 		}
 		e := newEjector(n, id, r.out[ejectPortIndex])
 		r.out[ejectPortIndex].eject = e
+		r.out[ejectPortIndex].freeVCs = maskAll(cfg.VCs)
 		n.ejectors[id] = e
 		n.nis[id] = newNI(n, id, r)
 	}

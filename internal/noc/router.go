@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // ejectPortIndex is the output-port index of the local ejection port; mesh
 // output ports use Direction values 0..3.
 const ejectPortIndex = NumDirections
@@ -28,13 +30,14 @@ type inputVC struct {
 	buf   *flitQueue
 	state vcState
 
+	// sp is the switch-port this VC is multiplexed onto and spBit its bit
+	// in that switch-port's request masks (index within r.spVCs[sp]).
+	sp    int
+	spBit uint64
+
 	cands   []routeCandidate
 	outPort int
 	outVC   int
-	// routeEpoch is the router's deadEpoch at the time cands was computed;
-	// a waiting VC whose epoch is stale recomputes its candidates, so a
-	// link death re-routes packets that were already waiting on it.
-	routeEpoch int
 	// effPrio is the packet priority captured at route computation, before
 	// the per-hop decrement (§5): the value the packet carried on arrival.
 	effPrio int
@@ -101,6 +104,11 @@ type outputPort struct {
 	router *router
 	index  int
 	vcs    []outVCState
+	// freeVCs has bit v set while downstream VC v has no owner: VC
+	// allocation intersects it with a candidate's VC mask instead of
+	// testing every owner. Always 0 on a mesh-edge port (no link), so edge
+	// candidates drop out with no separate check.
+	freeVCs uint32
 	// creditIn stages credits returned by the downstream consumer this
 	// cycle, applied at the start of the next cycle.
 	creditIn []int
@@ -152,33 +160,50 @@ type router struct {
 	// Switch: spVCs[sp] lists the globalIdx of VCs multiplexed onto
 	// switch-port sp; spArb arbitrates among them (SA stage 1); outArb[o]
 	// arbitrates among switch-ports for output o (SA stage 2).
-	spVCs     [][]int
-	spArb     []*roundRobin
-	outArb    []*roundRobin
-	spWinner  []int // per switch-port: winning globalIdx this cycle, or -1
+	spVCs    [][]int
+	spArb    []*roundRobin
+	outArb   []*roundRobin
+	spWinner []int // per switch-port: winning globalIdx this cycle
+	// spElig/spStall are SA stage 1's per-switch-port request masks over
+	// the port's VCs (bit = inputVC.spBit): VCs that can bid this cycle,
+	// and active VCs held back only by a lack of downstream credits.
+	spElig  []uint64
+	spStall []uint64
+	// spPrio is the effective priority of each switch-port's winner and
+	// outReq[o] the set of switch-ports requesting output o (SA stage 2).
+	spPrio    []int
+	outReq    []bitset
 	rrVA      int
-	candBuf   []routeCandidate
 	prioArbOn bool
 
 	// The router's flit-count activity predicate lives in its shard's SoA
 	// array (sh.routerFlits[lidx]; see soa.go) — addFlits/flitCount below.
 	// It always equals what busy() recounts.
 	//
-	// waitVCs counts input VCs in vcWaitVC and activeVCs those in vcActive:
-	// O(1) early-outs that let vcAllocate skip its O(VCs) scan when nothing
-	// waits and switchAllocate return when nothing can bid. Both passes are
-	// side-effect-free when their count is zero (pick without a grant never
-	// advances an arbiter), so the skip is behaviour-identical.
-	waitVCs   int32
-	activeVCs int32
+	// VC sets over allVCs (globalIdx bits), so every pipeline stage visits
+	// only the VCs it can act on (DESIGN.md §17):
+	//   - waitSet: VCs in vcWaitVC (VC allocation candidates);
+	//   - activeSet: VCs in vcActive (switch allocation bidders);
+	//   - rcSet: idle VCs with a buffered (head) flit, i.e. exactly the VCs
+	//     route computation will move to vcWaitVC this cycle.
+	// CheckInvariants asserts all three equal a recount of VC states.
+	waitSet   bitset
+	activeSet bitset
+	rcSet     bitset
+	// creditPending is set whenever a credit is staged into any output's
+	// creditIn and cleared by the applyArrivals sweep that lands them, so
+	// routers with nothing staged skip the sweep.
+	creditPending bool
 	// lastVA is the cycle vcAllocate last ran, so the unconditional rrVA
 	// rotation of skipped cycles can be fast-forwarded on wake-up.
 	lastVA int64
 
 	// deadEpoch increments on every link kill anywhere in the mesh (the
-	// fault-routing table is global), so waiting VCs know to recompute
-	// their route candidates (see routeCompute).
+	// fault-routing table is global); rcEpoch is its value at this router's
+	// last route computation. When they differ, every waiting VC recomputes
+	// its route candidates (see routeCompute).
 	deadEpoch int
+	rcEpoch   int
 }
 
 func newRouter(net *Network, id int) *router {
@@ -231,6 +256,7 @@ func newRouter(net *Network, id int) *router {
 		s := len(ip.spIDs)
 		for _, vc := range ip.vcs {
 			sp := ip.spIDs[vc.vcIdx%s]
+			vc.sp, vc.spBit = sp, 1<<uint(len(r.spVCs[sp]))
 			r.spVCs[sp] = append(r.spVCs[sp], vc.globalIdx)
 		}
 	}
@@ -239,6 +265,19 @@ func newRouter(net *Network, id int) *router {
 		r.spArb[sp] = newRoundRobin(len(r.spVCs[sp]))
 	}
 	r.spWinner = make([]int, spID)
+	r.spElig = make([]uint64, spID)
+	r.spStall = make([]uint64, spID)
+	r.spPrio = make([]int, spID)
+
+	vw := bitsetWords(len(r.allVCs))
+	sets := make(bitset, 3*vw)
+	r.waitSet, r.activeSet, r.rcSet = sets[:vw:vw], sets[vw:2*vw:2*vw], sets[2*vw:]
+	sw := bitsetWords(spID)
+	reqs := make(bitset, numOutPorts*sw)
+	r.outReq = make([]bitset, numOutPorts)
+	for o := range r.outReq {
+		r.outReq[o] = reqs[o*sw : (o+1)*sw : (o+1)*sw]
+	}
 
 	r.out = make([]*outputPort, numOutPorts)
 	r.outArb = make([]*roundRobin, numOutPorts)
@@ -268,19 +307,31 @@ func (r *router) flitCount() int { return int(r.sh.routerFlits[r.lidx]) }
 func (r *router) addFlits(d int) { r.sh.routerFlits[r.lidx] += int32(d) }
 
 // applyArrivals moves due link-staged flits into VC buffers and applies
-// staged credits (phase 1 of the cycle).
+// staged credits (phase 1 of the cycle). A flit landing in an idle VC makes
+// that VC RC-pending; the credit sweep runs only when credits were staged.
 func (r *router) applyArrivals(now int64) {
 	for _, ip := range r.in {
+		if len(ip.arrivals) == 0 {
+			continue
+		}
 		kept := ip.arrivals[:0]
 		for _, sf := range ip.arrivals {
 			if sf.deliverAt <= now {
-				ip.vcs[sf.vc].buf.push(sf.f)
+				vc := ip.vcs[sf.vc]
+				vc.buf.push(sf.f)
+				if vc.state == vcIdle {
+					r.rcSet.set(vc.globalIdx)
+				}
 			} else {
 				kept = append(kept, sf)
 			}
 		}
 		ip.arrivals = kept
 	}
+	if !r.creditPending {
+		return
+	}
+	r.creditPending = false
 	for _, op := range r.out {
 		for v := range op.creditIn {
 			if op.creditIn[v] != 0 {
@@ -291,45 +342,42 @@ func (r *router) applyArrivals(now int64) {
 	}
 }
 
-// routeCompute runs RC for every idle VC with a buffered head flit: it
-// computes the admissible candidates, captures the arrival priority, and
-// performs the per-hop priority decrement (§5). VCs still waiting for a
-// downstream VC recompute their candidates when a link died since their
-// last RC (routeEpoch stale) — without re-applying the priority decrement,
-// which is per hop, not per recomputation.
+// routeCompute runs RC for every RC-pending VC (idle, with a buffered head
+// flit): it computes the admissible candidates, captures the arrival
+// priority, and performs the per-hop priority decrement (§5). When a link
+// died since this router's last RC (rcEpoch stale), every VC still waiting
+// for a downstream VC recomputes its candidates first — without
+// re-applying the priority decrement, which is per hop, not per
+// recomputation.
 func (r *router) routeCompute(now int64) {
-	for _, vc := range r.allVCs {
-		if vc.buf.empty() {
-			continue
+	if r.rcEpoch != r.deadEpoch {
+		for i := r.waitSet.nextFrom(0); i >= 0; i = r.waitSet.nextFrom(i + 1) {
+			vc := r.allVCs[i]
+			vc.cands = r.net.routeCandidates(r.id, vc.buf.front().pkt.Dst, vc.cands)
 		}
-		switch vc.state {
-		case vcIdle:
-			f := vc.buf.front()
-			if !f.isHead() {
-				panic("noc: non-head flit at front of idle VC")
-			}
-			pkt := f.pkt
-			vc.cands = r.net.routeCandidates(r.id, pkt.Dst, vc.cands)
-			vc.routeEpoch = r.deadEpoch
-			vc.effPrio = pkt.Priority
-			if pkt.Priority > 0 {
-				pkt.Priority--
-			}
-			vc.state = vcWaitVC
-			r.waitVCs++
-			vc.waitSince = now
-		case vcWaitVC:
-			if vc.routeEpoch != r.deadEpoch {
-				pkt := vc.buf.front().pkt
-				vc.cands = r.net.routeCandidates(r.id, pkt.Dst, vc.cands)
-				vc.routeEpoch = r.deadEpoch
-			}
-		}
+		r.rcEpoch = r.deadEpoch
 	}
+	for i := r.rcSet.nextFrom(0); i >= 0; i = r.rcSet.nextFrom(i + 1) {
+		vc := r.allVCs[i]
+		f := vc.buf.front()
+		if !f.isHead() {
+			panic("noc: non-head flit at front of idle VC")
+		}
+		pkt := f.pkt
+		vc.cands = r.net.routeCandidates(r.id, pkt.Dst, vc.cands)
+		vc.effPrio = pkt.Priority
+		if pkt.Priority > 0 {
+			pkt.Priority--
+		}
+		vc.state = vcWaitVC
+		r.waitSet.set(i)
+		vc.waitSince = now
+	}
+	r.rcSet.reset()
 }
 
 // vcAllocate runs separable input-first VC allocation: waiting VCs claim a
-// free downstream VC among their route candidates, scanned in rotating
+// free downstream VC among their route candidates, visited in rotating
 // order for fairness. With ARI prioritisation enabled, higher-priority
 // waiters (freshly injected packets at MC-routers, §5) are served first so
 // they exit the hot region quickly.
@@ -340,77 +388,75 @@ func (r *router) routeCompute(now int64) {
 // pointer is then exactly what the scan-everything loop would hold.
 func (r *router) vcAllocate(now int64) {
 	n := len(r.allVCs)
-	if n > 0 {
-		if skipped := now - 1 - r.lastVA; skipped > 0 {
-			r.rrVA = (r.rrVA + int(skipped%int64(n))) % n
-		}
+	if skipped := now - 1 - r.lastVA; skipped > 0 {
+		r.rrVA = (r.rrVA + int(skipped%int64(n))) % n
 	}
-	if r.waitVCs > 0 {
+	if !r.waitSet.empty() {
 		r.vcAllocatePass(now)
 	}
-	if n > 0 {
-		r.rrVA = (r.rrVA + 1) % n
+	if r.rrVA++; r.rrVA == n {
+		r.rrVA = 0
 	}
 	r.lastVA = now
 }
 
-// vcAllocatePass attempts allocation for every waiting VC, scanning from
-// the rotating pointer and stopping once all VCs that were waiting at entry
-// have been visited (no new waiter can appear mid-pass, so the tail of the
-// rotation is provably a no-op).
+// vcAllocatePass attempts allocation for every waiting VC in rotation order
+// from rrVA: the waiting-set members at or after the pointer, then those
+// before it. The order is exactly the old full rotation's restricted to
+// waiting VCs, and no VC can start waiting mid-pass (only RC adds to the
+// set), so visiting the set is equivalent to scanning every VC.
 func (r *router) vcAllocatePass(now int64) {
-	n := len(r.allVCs)
-	remaining := r.waitVCs
-	for k := 0; k < n && remaining > 0; k++ {
-		vc := r.allVCs[(r.rrVA+k)%n]
-		if vc.state != vcWaitVC {
-			continue
-		}
-		remaining--
-		pkt := vc.buf.front().pkt
-		bestPort, bestVC, bestCredits := -1, -1, -1
-		for _, cand := range vc.cands {
-			op := r.out[cand.port]
-			if cand.port != ejectPortIndex && op.destPort == nil {
-				continue // mesh edge: no link in that direction
-			}
-			for v := len(op.vcs) - 1; v >= 0; v-- {
-				if cand.vcMask&(1<<uint(v)) == 0 {
-					continue
-				}
-				ov := &op.vcs[v]
-				if !r.vcEligible(pkt, ov) {
-					continue
-				}
-				// Prefer the candidate with the most downstream credits
-				// (local congestion awareness); scanning VCs downward makes
-				// ties prefer adaptive VCs over the escape VC.
-				if ov.credits > bestCredits {
-					bestPort, bestVC, bestCredits = cand.port, v, ov.credits
-				}
-			}
-		}
-		if bestPort >= 0 {
-			r.out[bestPort].vcs[bestVC].owner = vc.globalIdx
-			vc.outPort, vc.outVC = bestPort, bestVC
-			vc.state = vcActive
-			r.waitVCs--
-			r.activeVCs++
-			r.sh.ctr.vaGrants++
-			if tr := r.net.tracer; tr != nil && pkt.traced {
-				tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceVAGrant, now)
-			}
-		}
+	for i := r.waitSet.nextFrom(r.rrVA); i >= 0; i = r.waitSet.nextFrom(i + 1) {
+		r.tryAllocateVC(r.allVCs[i], now)
+	}
+	for i := r.waitSet.nextFrom(0); i >= 0 && i < r.rrVA; i = r.waitSet.nextFrom(i + 1) {
+		r.tryAllocateVC(r.allVCs[i], now)
 	}
 }
 
-// vcEligible applies the buffer-allocation policy: atomic allocation needs
-// a completely empty downstream VC; non-atomic (WPF [28]) only needs space
-// for the whole packet.
-func (r *router) vcEligible(pkt *Packet, ov *outVCState) bool {
-	if ov.owner != -1 {
-		return false
+// tryAllocateVC grants a waiting VC the eligible free downstream VC with
+// the most credits among its route candidates, if there is one.
+func (r *router) tryAllocateVC(vc *inputVC, now int64) {
+	pkt := vc.buf.front().pkt
+	bestPort, bestVC, bestCredits := -1, -1, -1
+	for _, cand := range vc.cands {
+		op := r.out[cand.port]
+		// Scanning VCs downward makes credit ties prefer adaptive VCs over
+		// the escape VC.
+		for m := cand.vcMask & op.freeVCs; m != 0; {
+			v := bits.Len32(m) - 1
+			m &^= 1 << uint(v)
+			ov := &op.vcs[v]
+			if !r.vcEligible(pkt, ov) {
+				continue
+			}
+			// Prefer the candidate with the most downstream credits (local
+			// congestion awareness).
+			if ov.credits > bestCredits {
+				bestPort, bestVC, bestCredits = cand.port, v, ov.credits
+			}
+		}
 	}
+	if bestPort < 0 {
+		return
+	}
+	op := r.out[bestPort]
+	op.vcs[bestVC].owner = vc.globalIdx
+	op.freeVCs &^= 1 << uint(bestVC)
+	vc.outPort, vc.outVC = bestPort, bestVC
+	vc.state = vcActive
+	r.waitSet.clear(vc.globalIdx)
+	r.activeSet.set(vc.globalIdx)
+	r.sh.ctr.vaGrants++
+	if tr := r.net.tracer; tr != nil && pkt.traced {
+		tr.PacketEvent(pkt.ID, pkt.Type, pkt.Src, pkt.Dst, r.id, TraceVAGrant, now)
+	}
+}
+
+// vcEligible applies the buffer-allocation policy to an unowned downstream
+// VC: atomic allocation needs a completely empty downstream VC; non-atomic
+// (WPF [28]) only needs space for the whole packet.
+func (r *router) vcEligible(pkt *Packet, ov *outVCState) bool {
 	if r.net.cfg.NonAtomicVC {
 		return ov.credits >= pkt.Size
 	}
@@ -419,15 +465,16 @@ func (r *router) vcEligible(pkt *Packet, ov *outVCState) bool {
 
 // starvationActive reports whether any non-injection input VC has been
 // waiting longer than the starvation threshold, in which case injection
-// priority is suppressed this cycle (§5).
+// priority is suppressed this cycle (§5). Only non-idle VCs (waiting or
+// active) can qualify.
 func (r *router) starvationActive(now int64) bool {
 	limit := r.net.cfg.StarvationLimit
-	for _, vc := range r.allVCs {
-		if vc.port.isInjection {
-			continue
-		}
-		if vc.state != vcIdle && now-vc.waitSince > limit {
-			return true
+	for w := range r.waitSet {
+		for x := r.waitSet[w] | r.activeSet[w]; x != 0; x &= x - 1 {
+			vc := r.allVCs[w<<6|bits.TrailingZeros64(x)]
+			if !vc.port.isInjection && now-vc.waitSince > limit {
+				return true
+			}
 		}
 	}
 	return false
@@ -435,72 +482,103 @@ func (r *router) starvationActive(now int64) bool {
 
 // switchAllocate runs separable input-first switch allocation and performs
 // the winning switch/link traversals (SA + ST + LT).
+//
+// Stage 1 builds each switch-port's request mask from the active VCs only
+// and lets the switch-port's arbiter pick among them; stage 2 folds the
+// winners into one request set per output and grants each requested
+// output. Both stages reproduce the closure scans they replace exactly
+// (DESIGN.md §17), including the credit-stall count: a scan counted every
+// credit-starved active VC its arbiter visited before the winner, which is
+// the stall mask restricted to the rotation range [next, winner).
 func (r *router) switchAllocate(now int64) {
-	if r.activeVCs == 0 {
+	if r.activeSet.empty() {
 		// No input VC holds a downstream VC, so no switch-port can bid and
-		// no output can grant; skipping is behaviour-identical (pick without
-		// a grant never advances an arbiter, and creditStallCycles only
-		// counts active VCs).
+		// no output can grant; skipping is behaviour-identical (arbiters
+		// advance only on grants, and creditStallCycles only counts active
+		// VCs).
 		return
 	}
-	starved := r.prioArbOn && r.starvationActive(now)
 
-	// Stage 1: each switch-port picks among its eligible VCs.
-	for sp := range r.spVCs {
-		vcsOfSP := r.spVCs[sp]
-		w := r.spArb[sp].pick(func(j int) bool {
-			return r.saEligible(r.allVCs[vcsOfSP[j]], now)
-		})
-		if w < 0 {
-			r.spWinner[sp] = -1
-		} else {
-			r.spWinner[sp] = vcsOfSP[w]
+	// Stage 1a: sort the active VCs into per-switch-port masks.
+	for w, x := range r.activeSet {
+		for ; x != 0; x &= x - 1 {
+			vc := r.allVCs[w<<6|bits.TrailingZeros64(x)]
+			if now < vc.port.frozenUntil || vc.buf.empty() {
+				continue // port frozen by fault injection, or nothing to send
+			}
+			if r.out[vc.outPort].vcs[vc.outVC].credits <= 0 {
+				r.spStall[vc.sp] |= vc.spBit
+			} else {
+				r.spElig[vc.sp] |= vc.spBit
+			}
 		}
 	}
 
-	// Stage 2: each output port grants one requesting switch-port;
-	// priority-aware when ARI prioritisation is enabled.
-	for o, op := range r.out {
-		if now < op.stalledUntil {
-			continue // link stalled by fault injection: no grant this cycle
+	// Stage 1b: each switch-port picks among its eligible VCs; the winner
+	// requests its output.
+	injWon := false
+	for sp := range r.spElig {
+		elig, stall := r.spElig[sp], r.spStall[sp]
+		if elig|stall == 0 {
+			continue
 		}
-		req := func(sp int) bool {
-			w := r.spWinner[sp]
-			return w >= 0 && r.allVCs[w].outPort == o
+		r.spElig[sp], r.spStall[sp] = 0, 0
+		arb := r.spArb[sp]
+		next := uint(arb.next)
+		w := arb.pickMask(bitset{elig})
+		if w < 0 {
+			r.sh.ctr.creditStallCycles += uint64(bits.OnesCount64(stall))
+			continue
+		}
+		if uint(w) >= next {
+			stall &= lowBits(uint(w)) &^ lowBits(next)
+		} else {
+			stall &= lowBits(uint(w)) | ^lowBits(next)
+		}
+		r.sh.ctr.creditStallCycles += uint64(bits.OnesCount64(stall))
+		vc := r.allVCs[r.spVCs[sp][w]]
+		r.spWinner[sp] = vc.globalIdx
+		r.outReq[vc.outPort].set(sp)
+		injWon = injWon || vc.port.isInjection
+	}
+
+	// Injection priority is suppressed while a mesh VC starves. The check
+	// only matters when an injection VC bids, and it must run before the
+	// first traversal below, which resets waitSince.
+	if r.prioArbOn {
+		starved := injWon && r.starvationActive(now)
+		for o := range r.outReq {
+			for sp := r.outReq[o].nextFrom(0); sp >= 0; sp = r.outReq[o].nextFrom(sp + 1) {
+				vc := r.allVCs[r.spWinner[sp]]
+				if starved && vc.port.isInjection {
+					r.spPrio[sp] = 0
+				} else {
+					r.spPrio[sp] = vc.effPrio
+				}
+			}
+		}
+	}
+
+	// Stage 2: each requested output grants one switch-port; priority-aware
+	// when ARI prioritisation is enabled.
+	for o, op := range r.out {
+		req := r.outReq[o]
+		if req.empty() {
+			continue
+		}
+		if now < op.stalledUntil {
+			req.reset()
+			continue // link stalled by fault injection: no grant this cycle
 		}
 		var winner int
 		if r.prioArbOn {
-			winner = r.outArb[o].pickPriority(req, func(sp int) int {
-				vc := r.allVCs[r.spWinner[sp]]
-				if starved && vc.port.isInjection {
-					return 0
-				}
-				return vc.effPrio
-			})
+			winner = r.outArb[o].pickPriorityMask(req, r.spPrio)
 		} else {
-			winner = r.outArb[o].pick(req)
+			winner = r.outArb[o].pickMask(req)
 		}
-		if winner >= 0 {
-			r.traverse(r.allVCs[r.spWinner[winner]], op, now)
-		}
+		req.reset()
+		r.traverse(r.allVCs[r.spWinner[winner]], op, now)
 	}
-}
-
-// saEligible reports whether an input VC can bid for the switch this cycle:
-// its port must not be frozen, and it must hold a flit and a downstream
-// credit.
-func (r *router) saEligible(vc *inputVC, now int64) bool {
-	if now < vc.port.frozenUntil {
-		return false // input port frozen by fault injection
-	}
-	if vc.state != vcActive || vc.buf.empty() {
-		return false
-	}
-	if r.out[vc.outPort].vcs[vc.outVC].credits <= 0 {
-		r.sh.ctr.creditStallCycles++
-		return false
-	}
-	return true
 }
 
 // traverse moves one flit from an input VC across the crossbar onto the
@@ -555,16 +633,24 @@ func (r *router) traverse(vc *inputVC, op *outputPort, now int64) {
 		r.sh.outCredits[d] = append(r.sh.outCredits[d], remoteCredit{op: vc.port.upstream, vc: vc.vcIdx})
 	default:
 		vc.port.upstream.creditIn[vc.vcIdx]++
+		vc.port.upstream.router.creditPending = true
 	}
 
 	vc.waitSince = now
 	if f.isTail() {
 		ov.owner = -1
+		op.freeVCs |= 1 << uint(vc.outVC)
 		vc.state = vcIdle
 		vc.outPort, vc.outVC = -1, -1
-		r.activeVCs--
+		r.activeSet.clear(vc.globalIdx)
+		if !vc.buf.empty() {
+			r.rcSet.set(vc.globalIdx) // the next packet's head is buffered
+		}
 	}
 }
+
+// lowBits returns a mask of the k lowest bits.
+func lowBits(k uint) uint64 { return 1<<k - 1 }
 
 // busy reports whether the router holds any flit in any input VC or staged
 // arrival (used for drain detection). It recounts what the flits counter

@@ -436,6 +436,7 @@ func (n *Network) commitShard(d int) {
 		credits := s.outCredits[d]
 		for i := range credits {
 			credits[i].op.creditIn[credits[i].vc]++
+			credits[i].op.router.creditPending = true
 			credits[i].op = nil
 		}
 		s.outCredits[d] = credits[:0]
