@@ -22,3 +22,11 @@ func BenchmarkGeometric(b *testing.B) {
 		s.Geometric(20)
 	}
 }
+
+func BenchmarkGeomSample(b *testing.B) {
+	s := New(1)
+	g := NewGeom(20)
+	for i := 0; i < b.N; i++ {
+		s.Sample(g)
+	}
+}

@@ -80,22 +80,46 @@ func (s *Source) Bool(p float64) bool {
 // Geometric returns a sample from a geometric distribution with mean m
 // (number of Bernoulli failures before a success with p = 1/(m+1)),
 // clamped to [0, 64*m+64] to bound pathological tails. m must be >= 0.
+// Callers drawing repeatedly with one mean should build its Geom once and
+// call Sample, which skips the per-draw log of the success probability.
 func (s *Source) Geometric(m float64) int {
+	return s.Sample(NewGeom(m))
+}
+
+// Geom is a geometric distribution with a fixed mean and its inverse-CDF
+// constants precomputed; Source.Sample draws from it. The zero value (and
+// any mean <= 0) always yields 0 without consuming a draw.
+type Geom struct {
+	draws bool    // false for m <= 0
+	logQ  float64 // ln(1-p) for p = 1/(m+1)
+	limit int     // the 64*m+64 tail clamp
+}
+
+// NewGeom returns the geometric distribution with mean m.
+func NewGeom(m float64) Geom {
 	if m <= 0 {
-		return 0
+		return Geom{}
 	}
 	p := 1.0 / (m + 1.0)
+	return Geom{draws: true, logQ: math.Log(1.0 - p), limit: int(64*m) + 64}
+}
+
+// Sample draws from g: bit-identical to Geometric with g's mean, at one
+// log per draw.
+func (s *Source) Sample(g Geom) int {
+	if !g.draws {
+		return 0
+	}
 	u := s.Float64()
 	// Inverse CDF: floor(ln(1-u) / ln(1-p)).
-	g := int(math.Log(1.0-u) / math.Log(1.0-p))
-	limit := int(64*m) + 64
-	if g < 0 {
-		g = 0
+	n := int(math.Log(1.0-u) / g.logQ)
+	if n < 0 {
+		n = 0
 	}
-	if g > limit {
-		g = limit
+	if n > g.limit {
+		n = g.limit
 	}
-	return g
+	return n
 }
 
 // Perm fills dst with a pseudo-random permutation of 0..len(dst)-1

@@ -179,3 +179,45 @@ func TestUniformity(t *testing.T) {
 		}
 	}
 }
+
+// geometricTwoLog is the original Geometric, which recomputed ln(1-p) on
+// every draw; Sample must reproduce it bit for bit.
+func geometricTwoLog(s *Source, m float64) int {
+	if m <= 0 {
+		return 0
+	}
+	p := 1.0 / (m + 1.0)
+	u := s.Float64()
+	g := int(math.Log(1.0-u) / math.Log(1.0-p))
+	limit := int(64*m) + 64
+	if g < 0 {
+		g = 0
+	}
+	if g > limit {
+		g = limit
+	}
+	return g
+}
+
+// TestSampleMatchesGeometric draws 1e5 samples per mean from three sources
+// in lockstep — Sample with a prebuilt Geom, Geometric, and the two-log
+// reference — across means from degenerate (0, negative: no draw consumed)
+// through the kernel validator's 1e9 limit to means whose tail clamp and
+// log constant sit at float64's edges.
+func TestSampleMatchesGeometric(t *testing.T) {
+	means := []float64{-1, 0, 1e-300, 1e-9, 0.25, 0.5, 1, 2, 3, 7.5, 20, 64, 1e3, 1e6, 1e9, 1e16, 1e17}
+	for i, m := range means {
+		seed := uint64(100 + i)
+		a, b, ref := New(seed), New(seed), New(seed)
+		g := NewGeom(m)
+		for k := 0; k < 100000; k++ {
+			x, y, z := a.Sample(g), b.Geometric(m), geometricTwoLog(ref, m)
+			if x != z || y != z {
+				t.Fatalf("mean %v draw %d: Sample %d, Geometric %d, two-log reference %d", m, k, x, y, z)
+			}
+		}
+		if next := ref.Uint64(); a.Uint64() != next || b.Uint64() != next {
+			t.Fatalf("mean %v: streams diverged after 1e5 draws", m)
+		}
+	}
+}

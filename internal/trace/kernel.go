@@ -129,6 +129,10 @@ type Generator struct {
 	k     Kernel
 	warps []warpGen // [core*warpsPerCore + warp]
 	wpc   int
+	// compute and extra are the kernel's fixed geometric draws: the
+	// compute-segment length (mean ComputePerMem) and the extra coalesced
+	// transactions of a divergent access (mean CoalesceMean-1).
+	compute, extra rng.Geom
 }
 
 // NewGenerator builds the deterministic stream generator for kernel k over
@@ -141,7 +145,12 @@ func NewGenerator(k Kernel, cores int, seed uint64) (*Generator, error) {
 		return nil, fmt.Errorf("trace: cores must be positive")
 	}
 	root := rng.New(seed ^ hashName(k.Name))
-	g := &Generator{k: k, wpc: k.WarpsPerCore}
+	g := &Generator{
+		k:       k,
+		wpc:     k.WarpsPerCore,
+		compute: rng.NewGeom(k.ComputePerMem),
+		extra:   rng.NewGeom(k.CoalesceMean - 1),
+	}
 	g.warps = make([]warpGen, cores*k.WarpsPerCore)
 	for i := range g.warps {
 		w := &g.warps[i]
@@ -174,7 +183,7 @@ func (g *Generator) warp(core, warp int) *warpGen {
 // NextCompute returns the next compute-segment length for (core, warp).
 func (g *Generator) NextCompute(core, warp int) int {
 	w := g.warp(core, warp)
-	return w.rng.Geometric(g.k.ComputePerMem)
+	return w.rng.Sample(g.compute)
 }
 
 // NextMem generates the next memory instruction for (core, warp).
@@ -184,7 +193,7 @@ func (g *Generator) NextMem(core, warp int, scratch []uint64) (write bool, addrs
 
 	n := 1
 	if g.k.CoalesceMean > 1 {
-		n = 1 + w.rng.Geometric(g.k.CoalesceMean-1)
+		n = 1 + w.rng.Sample(g.extra)
 		if n > 4 {
 			n = 4
 		}
