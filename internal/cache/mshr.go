@@ -4,7 +4,11 @@ package cache
 // fills and merges subsequent misses to the same line, so one in-flight
 // read request serves every warp waiting on that line.
 type MSHR struct {
-	entries map[uint64][]int // line addr -> waiter tokens
+	// lines[i] is the line address of entry i and waiters[i] its waiter
+	// tokens. The file holds at most max entries, so a scan of the dense
+	// lines slice beats hashing; entry order is never observable.
+	lines   []uint64
+	waiters [][]int
 	max     int
 	maxWait int
 	// free recycles waiter slices between entries (Lookup pops, Recycle
@@ -24,7 +28,8 @@ func NewMSHR(maxEntries, maxWaiters int) *MSHR {
 		panic("cache: MSHR sizes must be positive")
 	}
 	return &MSHR{
-		entries: make(map[uint64][]int, maxEntries),
+		lines:   make([]uint64, 0, maxEntries),
+		waiters: make([][]int, 0, maxEntries),
 		max:     maxEntries,
 		maxWait: maxWaiters,
 	}
@@ -44,16 +49,16 @@ const (
 
 // Lookup attaches waiter to lineAddr's entry, allocating one if needed.
 func (m *MSHR) Lookup(lineAddr uint64, waiter int) Outcome {
-	if ws, ok := m.entries[lineAddr]; ok {
-		if len(ws) >= m.maxWait {
+	if i := m.find(lineAddr); i >= 0 {
+		if len(m.waiters[i]) >= m.maxWait {
 			m.FullStall++
 			return Stalled
 		}
-		m.entries[lineAddr] = append(ws, waiter)
+		m.waiters[i] = append(m.waiters[i], waiter)
 		m.Merges++
 		return Merged
 	}
-	if len(m.entries) >= m.max {
+	if len(m.lines) >= m.max {
 		m.FullStall++
 		return Stalled
 	}
@@ -64,26 +69,38 @@ func (m *MSHR) Lookup(lineAddr uint64, waiter int) Outcome {
 	} else {
 		ws = make([]int, 0, 4)
 	}
-	m.entries[lineAddr] = append(ws, waiter)
+	m.lines = append(m.lines, lineAddr)
+	m.waiters = append(m.waiters, append(ws, waiter))
 	m.Allocs++
 	return Allocated
 }
 
-// Pending reports whether lineAddr has an outstanding fill.
-func (m *MSHR) Pending(lineAddr uint64) bool {
-	_, ok := m.entries[lineAddr]
-	return ok
+// find returns lineAddr's entry index, or -1.
+func (m *MSHR) find(lineAddr uint64) int {
+	for i, l := range m.lines {
+		if l == lineAddr {
+			return i
+		}
+	}
+	return -1
 }
+
+// Pending reports whether lineAddr has an outstanding fill.
+func (m *MSHR) Pending(lineAddr uint64) bool { return m.find(lineAddr) >= 0 }
 
 // Fill completes lineAddr's outstanding fill and returns its waiters. The
 // returned slice stays valid until the caller hands it back via Recycle (or
 // forever, if the caller never does).
 func (m *MSHR) Fill(lineAddr uint64) []int {
-	ws, ok := m.entries[lineAddr]
-	if !ok {
+	i := m.find(lineAddr)
+	if i < 0 {
 		return nil
 	}
-	delete(m.entries, lineAddr)
+	ws := m.waiters[i]
+	last := len(m.lines) - 1
+	m.lines[i], m.waiters[i] = m.lines[last], m.waiters[last]
+	m.waiters[last] = nil
+	m.lines, m.waiters = m.lines[:last], m.waiters[:last]
 	return ws
 }
 
@@ -97,7 +114,7 @@ func (m *MSHR) Recycle(ws []int) {
 }
 
 // Occupied returns the number of outstanding entries.
-func (m *MSHR) Occupied() int { return len(m.entries) }
+func (m *MSHR) Occupied() int { return len(m.lines) }
 
 // Full reports whether no further line can be allocated.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.max }
+func (m *MSHR) Full() bool { return len(m.lines) >= m.max }

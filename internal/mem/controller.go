@@ -54,11 +54,16 @@ type Controller struct {
 	l2   *cache.Cache
 	dram *DRAM
 
-	inQ          []*Transaction
-	l2Pipe       []pipeEntry
-	pendingReads map[uint64][]*Transaction // line -> merged readers
-	dramDone     []*Transaction            // completions awaiting reply slot
-	replyQ       []*Transaction
+	inQ    []*Transaction
+	l2Pipe []pipeEntry
+	// pendLines[i] is a line with a DRAM read outstanding and
+	// pendReaders[i] the reads merged onto it. At most a DRAM queue's worth
+	// of lines is pending, so a scan of the dense slice beats hashing;
+	// entry order is never observable.
+	pendLines   []uint64
+	pendReaders [][]*Transaction
+	dramDone    []*Transaction // completions awaiting reply slot
+	replyQ      []*Transaction
 
 	fabric    noc.Fabric
 	linkBits  int
@@ -66,7 +71,7 @@ type Controller struct {
 
 	// Allocation recycling for the steady-state hot path. wbFree holds
 	// retired internal writeback transactions (reclaimed by takeWB when DRAM
-	// commits them); waiterFree holds emptied pendingReads slices. Both are
+	// commits them); waiterFree holds emptied pendReaders slices. Both are
 	// per-controller, so sharded simulation needs no locking.
 	wbFree     []*Transaction
 	waiterFree [][]*Transaction
@@ -97,14 +102,13 @@ func NewController(node int, cfg MCConfig, fabric noc.Fabric, linkBits, dataByte
 		return nil, fmt.Errorf("mem: invalid queue/latency config %+v", cfg)
 	}
 	c := &Controller{
-		Node:         node,
-		cfg:          cfg,
-		l2:           cache.New(cfg.L2),
-		dram:         NewDRAM(cfg.DRAM),
-		pendingReads: make(map[uint64][]*Transaction),
-		fabric:       fabric,
-		linkBits:     linkBits,
-		dataBytes:    dataBytes,
+		Node:      node,
+		cfg:       cfg,
+		l2:        cache.New(cfg.L2),
+		dram:      NewDRAM(cfg.DRAM),
+		fabric:    fabric,
+		linkBits:  linkBits,
+		dataBytes: dataBytes,
 	}
 	// Built once here so passing it to TakeCompleted every cycle does not
 	// allocate a method-value closure.
@@ -136,7 +140,7 @@ func (c *Controller) Receive(pkt *noc.Packet) {
 // Pending reports in-flight work (for drain detection).
 func (c *Controller) Pending() int {
 	return len(c.inQ) + len(c.l2Pipe) + len(c.dramDone) + len(c.replyQ) +
-		c.dram.Pending() + len(c.pendingReads)
+		c.dram.Pending() + len(c.pendLines)
 }
 
 // Quiescent reports whether a Tick would be a pure clock advance: no
@@ -145,7 +149,7 @@ func (c *Controller) Pending() int {
 // any simulated state.
 func (c *Controller) Quiescent() bool {
 	return len(c.inQ) == 0 && len(c.l2Pipe) == 0 && len(c.dramDone) == 0 &&
-		len(c.replyQ) == 0 && len(c.pendingReads) == 0 && c.dram.Quiescent()
+		len(c.replyQ) == 0 && len(c.pendLines) == 0 && c.dram.Quiescent()
 }
 
 // SkipIdle stands in for Tick on a quiescent controller: the only state a
@@ -177,10 +181,20 @@ func (c *Controller) collectDRAM(now int64) {
 		if txn.IsWrite {
 			continue // DRAM write commit; reply was sent at L2 time
 		}
-		waiters := c.pendingReads[txn.Addr]
 		// Installing may evict a dirty line: that needs a DRAM queue slot.
-		// Replying needs reply-queue slots for every merged reader.
-		if len(c.replyQ)+len(waiters) > c.cfg.ReplyQueueCap || !c.dram.CanAccept() {
+		// Replying needs reply-queue slots for every merged reader (at
+		// least the read itself, so a full reply queue fails without the
+		// lookup).
+		if len(c.replyQ) >= c.cfg.ReplyQueueCap || !c.dram.CanAccept() {
+			kept = append(kept, txn)
+			continue
+		}
+		pi := c.findPending(txn.Addr)
+		if pi < 0 {
+			panic("mem: DRAM read completed without a pending entry")
+		}
+		waiters := c.pendReaders[pi]
+		if len(c.replyQ)+len(waiters) > c.cfg.ReplyQueueCap {
 			kept = append(kept, txn)
 			continue
 		}
@@ -188,7 +202,7 @@ func (c *Controller) collectDRAM(now int64) {
 		if res.Writeback {
 			c.writebackToDRAM(res.WritebackAddr)
 		}
-		delete(c.pendingReads, txn.Addr)
+		c.removePending(pi)
 		for _, w := range waiters {
 			w.ReadyAt = now
 			c.replyQ = append(c.replyQ, w)
@@ -233,14 +247,14 @@ func (c *Controller) processRequest(now int64) {
 
 // processRead handles a read request; returns false to retry next cycle.
 func (c *Controller) processRead(txn *Transaction, now int64) bool {
-	if ws, pending := c.pendingReads[txn.Addr]; pending {
+	if pi := c.findPending(txn.Addr); pi >= 0 {
 		// Bound merging so a fill's reply fan-out always fits the reply
 		// queue (otherwise the release condition in collectDRAM could
 		// never be met).
-		if len(ws) >= c.cfg.ReplyQueueCap {
+		if len(c.pendReaders[pi]) >= c.cfg.ReplyQueueCap {
 			return false
 		}
-		c.pendingReads[txn.Addr] = append(ws, txn)
+		c.pendReaders[pi] = append(c.pendReaders[pi], txn)
 		c.MergedReads++
 		return true
 	}
@@ -264,9 +278,28 @@ func (c *Controller) processRead(txn *Transaction, now int64) bool {
 	} else {
 		ws = make([]*Transaction, 0, 2)
 	}
-	c.pendingReads[txn.Addr] = append(ws, txn)
+	c.pendLines = append(c.pendLines, txn.Addr)
+	c.pendReaders = append(c.pendReaders, append(ws, txn))
 	c.dram.Enqueue(txn, false)
 	return true
+}
+
+// findPending returns the index of line's outstanding DRAM read, or -1.
+func (c *Controller) findPending(line uint64) int {
+	for i, l := range c.pendLines {
+		if l == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// removePending drops entry i (its readers slice stays with the caller).
+func (c *Controller) removePending(i int) {
+	last := len(c.pendLines) - 1
+	c.pendLines[i], c.pendReaders[i] = c.pendLines[last], c.pendReaders[last]
+	c.pendReaders[last] = nil
+	c.pendLines, c.pendReaders = c.pendLines[:last], c.pendReaders[:last]
 }
 
 // processWrite handles a write request: write-allocate into L2 (GPU stores
