@@ -3,7 +3,7 @@ DATE := $(shell date +%Y%m%d)
 # their base date).
 BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: check test bench bench-scale benchdiff validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
+.PHONY: check test bench bench-scale benchdiff perfcheck validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
 
 # Shard-scaling budgets enforced by benchdiff -scale: 4-shard stepping must
 # be at least 2x faster than serial on the 16x16 mesh (the recorded figure
@@ -14,6 +14,11 @@ SCALE_GATES := \
 	-scale 'BenchmarkNetworkStep16x16Shards4/BenchmarkNetworkStep16x16Shards1<=0.5' \
 	-scale 'BenchmarkNetworkStep32x32Shards4/BenchmarkNetworkStep32x32Shards1<=0.6'
 
+# LAYER_BENCH names the per-layer microbenches of a simulated cycle outside
+# the NoC: rng draws, trace generation, SIMT issue, L1/MSHR and DRAM/MC.
+# They are gated absolutely like the 6x6 NoC benches.
+LAYER_BENCH := Uint64|Float64|Geometric|GeomSample|GeneratorNext|CoreTick|CacheAccess|MSHRLookupFill|DRAMTick|ControllerTick
+
 # GATE_MATCH selects the benchmarks under the absolute (baseline-vs-fresh)
 # ns/op check. The big-mesh shard series is deliberately NOT in it: those
 # runs are ~0.5-3 ms/op, so min-of-3 folds few iterations and absolute
@@ -21,7 +26,13 @@ SCALE_GATES := \
 # gated by the within-run SCALE_GATES ratios instead, where both sides see
 # the same machine conditions. The short 6x6 NetworkStep benches cover the
 # same stepping code paths for absolute regressions.
-GATE_MATCH := 'NetworkStep(Baseline|ARI|Faulty|Event|Scan)|SimulatorStep|AnalyticSuite|GateRoute|HistogramObserve'
+GATE_MATCH := 'NetworkStep(Baseline|ARI|Faulty|Event|Scan)|SimulatorStep|AnalyticSuite|GateRoute|HistogramObserve|$(LAYER_BENCH)'
+
+# BENCH_PKGS and BENCH_MATCH are the packages and benchmarks make bench
+# records and make benchdiff re-runs.
+BENCH_PKGS := ./internal/noc ./internal/analytic ./internal/cluster ./internal/obs \
+	./internal/rng ./internal/trace ./internal/gpu ./internal/cache ./internal/mem .
+BENCH_MATCH := 'NetworkStep|SimulatorStep|AnalyticSuite|GateRoute|HistogramObserve|$(LAYER_BENCH)'
 
 # check is the full gate: build everything, vet, and run all tests with the
 # race detector (covers the equivalence, golden, property, and race suites).
@@ -33,13 +44,14 @@ check:
 test:
 	go test ./...
 
-# bench records the NoC stepping benchmarks (event-driven vs scan reference)
-# and the end-to-end simulator benchmarks into a dated JSON snapshot.
+# bench records the NoC stepping benchmarks (event-driven vs scan reference),
+# the per-layer microbenches and the end-to-end simulator benchmarks into a
+# dated JSON snapshot (its "procs" field is the GOMAXPROCS it ran under).
 # -count=3 stores every repetition; benchdiff folds them to the per-name
 # minimum, so the committed baseline uses the same min-of-N protocol as the
 # gate's fresh run.
 bench:
-	go test ./internal/noc ./internal/analytic ./internal/cluster ./internal/obs . -run '^$$' -bench 'NetworkStep|SimulatorStep|AnalyticSuite|GateRoute|HistogramObserve' -benchmem -count=3 \
+	go test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_MATCH) -benchmem -count=3 \
 		| tee /dev/stderr | go run ./cmd/benchjson > BENCH_$(DATE).json
 
 # bench-scale runs only the shard-scaling benchmark series (16x16 and
@@ -52,16 +64,27 @@ bench-scale:
 		| tee /dev/stderr | go run ./cmd/benchjson \
 		| go run ./cmd/benchdiff -baseline $(BASELINE) -match '^$$' $(SCALE_GATES)
 
-# benchdiff is the benchmark regression gate: re-run the NetworkStep and
-# SimulatorStep benchmarks and fail when any ns/op regresses more than 15%
+# benchdiff is the benchmark regression gate: re-run the BENCH_MATCH
+# benchmarks and fail when any GATE_MATCH ns/op regresses more than 15%
 # against the newest committed BENCH_*.json snapshot, or when shard scaling
 # goes flat (SCALE_GATES above). -count=3 with min-of-N folding in
 # benchdiff keeps the gate robust to scheduling noise on shared CI
 # machines.
 benchdiff:
-	go test ./internal/noc ./internal/analytic ./internal/cluster ./internal/obs . -run '^$$' -bench 'NetworkStep|SimulatorStep|AnalyticSuite|GateRoute|HistogramObserve' -benchmem -benchtime 0.5s -count=3 \
+	go test $(BENCH_PKGS) -run '^$$' -bench $(BENCH_MATCH) -benchmem -benchtime 0.5s -count=3 \
 		| tee /dev/stderr | go run ./cmd/benchjson \
 		| go run ./cmd/benchdiff -baseline $(BASELINE) -match $(GATE_MATCH) $(SCALE_GATES)
+
+# perfcheck runs the repository benchmark's correctness gate: one short pass
+# of each perfbench workload, failing unless every pass reproduces the
+# recorded SHA-256 digests ("correct":true). It catches a change that alters
+# simulated results before the benchmark itself would.
+perfcheck:
+	@for w in bfs-ada fig11-matrix serve-mix; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds 1) || { echo "perfcheck: $$w failed" >&2; exit 1; }; \
+		echo "$$out" | tail -n 1; \
+		if echo "$$out" | grep -q '"correct":false'; then echo "perfcheck: $$w is not correct" >&2; exit 1; fi; \
+	done
 
 # validate-analytic is the physics drift oracle (DESIGN.md §12): re-run the
 # analytical estimator against the cycle-accurate simulator over the full

@@ -29,9 +29,13 @@ type entry struct {
 
 // doc is the full output document.
 type doc struct {
-	Goos       string  `json:"goos,omitempty"`
-	Goarch     string  `json:"goarch,omitempty"`
-	CPU        string  `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Procs is the highest GOMAXPROCS any benchmark ran under (1 when no
+	// name carries a -N suffix): the host limit every absolute number and
+	// scaling ratio in the snapshot was measured at.
+	Procs      int     `json:"procs"`
 	Benchmarks []entry `json:"benchmarks"`
 }
 
@@ -54,6 +58,7 @@ func main() {
 			if e, ok := parseBench(line); ok {
 				e.Package = pkg
 				d.Benchmarks = append(d.Benchmarks, e)
+				d.Procs = max(d.Procs, e.Procs, 1)
 			}
 		}
 	}
