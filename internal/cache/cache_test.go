@@ -197,6 +197,32 @@ func TestMSHRMergeAndFill(t *testing.T) {
 	}
 }
 
+// TestMSHRFillMiddleKeepsOthers fills an entry from the middle of the file
+// and checks the remaining lines keep their own waiters and slots.
+func TestMSHRFillMiddleKeepsOthers(t *testing.T) {
+	m := NewMSHR(3, 2)
+	for i, line := range []uint64{0x100, 0x200, 0x300} {
+		m.Lookup(line, i)
+	}
+	m.Lookup(0x300, 30)
+	if ws := m.Fill(0x200); len(ws) != 1 || ws[0] != 1 {
+		t.Fatalf("fill 0x200 waiters = %v, want [1]", ws)
+	}
+	if m.Occupied() != 2 || m.Pending(0x200) || !m.Pending(0x100) || !m.Pending(0x300) {
+		t.Fatalf("after filling the middle entry: occupied %d, pending %v/%v/%v",
+			m.Occupied(), m.Pending(0x100), m.Pending(0x200), m.Pending(0x300))
+	}
+	if o := m.Lookup(0x400, 4); o != Allocated {
+		t.Fatalf("lookup into the freed slot = %v, want Allocated", o)
+	}
+	if ws := m.Fill(0x300); len(ws) != 2 || ws[0] != 2 || ws[1] != 30 {
+		t.Fatalf("fill 0x300 waiters = %v, want [2 30]", ws)
+	}
+	if ws := m.Fill(0x100); len(ws) != 1 || ws[0] != 0 {
+		t.Fatalf("fill 0x100 waiters = %v, want [0]", ws)
+	}
+}
+
 func TestMSHRCapacity(t *testing.T) {
 	m := NewMSHR(1, 2)
 	m.Lookup(0x100, 1)

@@ -110,7 +110,7 @@ func (n *Network) checkRouter(r *router) error {
 				return fmt.Errorf("port %d vc %d: %d flits exceed depth %d",
 					ip.index, vc.vcIdx, vc.buf.len(), depth)
 			}
-			if err := checkContiguity(vc.buf); err != nil {
+			if err := checkContiguity(&vc.buf); err != nil {
 				return fmt.Errorf("port %d vc %d: %w", ip.index, vc.vcIdx, err)
 			}
 		}

@@ -126,7 +126,7 @@ func (n *Network) forEachBufferedFlit(visit func(*Packet)) {
 		for _, ip := range r.in {
 			staged(ip.arrivals)
 			for _, vc := range ip.vcs {
-				queue(vc.buf)
+				queue(&vc.buf)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ type inputVC struct {
 	vcIdx     int // index within the port
 	globalIdx int // index within router.allVCs
 
-	buf   *flitQueue
+	buf   flitQueue
 	state vcState
 
 	// sp is the switch-port this VC is multiplexed onto and spBit its bit
@@ -172,7 +172,7 @@ type router struct {
 	// spPrio is the effective priority of each switch-port's winner and
 	// outReq[o] the set of switch-ports requesting output o (SA stage 2).
 	spPrio    []int
-	outReq    []bitset
+	outReq    [numOutPorts]bitset
 	rrVA      int
 	prioArbOn bool
 
@@ -216,11 +216,20 @@ func newRouter(net *Network, id int) *router {
 		lastVA:    -1,
 	}
 
+	// Per-router state is carved from a few blocks rather than allocated
+	// per VC and per port: building a network allocates per router, not
+	// per buffer.
 	numIn := NumDirections + nc.injPorts()
+	nVC := numIn * cfg.VCs
+	vcBlock := make([]inputVC, nVC)
+	flitBlock := make([]flit, nVC*cfg.VCDepth)
+	r.allVCs = make([]*inputVC, nVC)
+	ports := make([]inputPort, numIn)
 	r.in = make([]*inputPort, numIn)
 	spID := 0
-	for p := 0; p < numIn; p++ {
-		ip := &inputPort{router: r, index: p}
+	for p := range ports {
+		ip := &ports[p]
+		*ip = inputPort{router: r, index: p}
 		if p >= NumDirections {
 			ip.isInjection = true
 			ip.injIndex = p - NumDirections
@@ -233,18 +242,20 @@ func newRouter(net *Network, id int) *router {
 			ip.spIDs = append(ip.spIDs, spID)
 			spID++
 		}
-		ip.vcs = make([]*inputVC, cfg.VCs)
-		for v := 0; v < cfg.VCs; v++ {
-			vc := &inputVC{
+		lo := p * cfg.VCs
+		ip.vcs = r.allVCs[lo : lo+cfg.VCs : lo+cfg.VCs]
+		for v := range ip.vcs {
+			g := lo + v
+			vc := &vcBlock[g]
+			*vc = inputVC{
 				port:      ip,
 				vcIdx:     v,
-				globalIdx: len(r.allVCs),
-				buf:       newFlitQueue(cfg.VCDepth),
+				globalIdx: g,
+				buf:       flitQueue{buf: flitBlock[g*cfg.VCDepth : (g+1)*cfg.VCDepth : (g+1)*cfg.VCDepth]},
 				outPort:   -1,
 				outVC:     -1,
 			}
 			ip.vcs[v] = vc
-			r.allVCs = append(r.allVCs, vc)
 		}
 		r.in[p] = ip
 	}
@@ -264,29 +275,37 @@ func newRouter(net *Network, id int) *router {
 	for sp := range r.spArb {
 		r.spArb[sp] = newRoundRobin(len(r.spVCs[sp]))
 	}
-	r.spWinner = make([]int, spID)
-	r.spElig = make([]uint64, spID)
-	r.spStall = make([]uint64, spID)
-	r.spPrio = make([]int, spID)
+	ints := make([]int, 2*spID)
+	r.spWinner, r.spPrio = ints[:spID:spID], ints[spID:]
 
-	vw := bitsetWords(len(r.allVCs))
-	sets := make(bitset, 3*vw)
-	r.waitSet, r.activeSet, r.rcSet = sets[:vw:vw], sets[vw:2*vw:2*vw], sets[2*vw:]
-	sw := bitsetWords(spID)
-	reqs := make(bitset, numOutPorts*sw)
-	r.outReq = make([]bitset, numOutPorts)
+	// One word block holds the switch-port masks, the three VC sets and the
+	// per-output request sets.
+	vw, sw := bitsetWords(nVC), bitsetWords(spID)
+	words := make([]uint64, 2*spID+3*vw+numOutPorts*sw)
+	carve := func(n int) []uint64 {
+		b := words[:n:n]
+		words = words[n:]
+		return b
+	}
+	r.spElig, r.spStall = carve(spID), carve(spID)
+	r.waitSet, r.activeSet, r.rcSet = carve(vw), carve(vw), carve(vw)
 	for o := range r.outReq {
-		r.outReq[o] = reqs[o*sw : (o+1)*sw : (o+1)*sw]
+		r.outReq[o] = carve(sw)
 	}
 
+	outs := make([]outputPort, numOutPorts)
+	outVCs := make([]outVCState, numOutPorts*cfg.VCs)
+	creditIn := make([]int, numOutPorts*cfg.VCs)
 	r.out = make([]*outputPort, numOutPorts)
 	r.outArb = make([]*roundRobin, numOutPorts)
-	for o := 0; o < numOutPorts; o++ {
-		op := &outputPort{
+	for o := range outs {
+		lo, hi := o*cfg.VCs, (o+1)*cfg.VCs
+		op := &outs[o]
+		*op = outputPort{
 			router:   r,
 			index:    o,
-			vcs:      make([]outVCState, cfg.VCs),
-			creditIn: make([]int, cfg.VCs),
+			vcs:      outVCs[lo:hi:hi],
+			creditIn: creditIn[lo:hi:hi],
 		}
 		for v := range op.vcs {
 			op.vcs[v] = outVCState{credits: cfg.VCDepth, owner: -1}
