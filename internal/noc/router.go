@@ -421,9 +421,9 @@ func (r *router) vcAllocate(now int64) {
 
 // vcAllocatePass attempts allocation for every waiting VC in rotation order
 // from rrVA: the waiting-set members at or after the pointer, then those
-// before it. The order is exactly the old full rotation's restricted to
-// waiting VCs, and no VC can start waiting mid-pass (only RC adds to the
-// set), so visiting the set is equivalent to scanning every VC.
+// before it. Iterating the live set is exact: granted VCs leave it only
+// after being visited, and no VC can start waiting mid-pass (only RC adds
+// to the set).
 func (r *router) vcAllocatePass(now int64) {
 	for i := r.waitSet.nextFrom(r.rrVA); i >= 0; i = r.waitSet.nextFrom(i + 1) {
 		r.tryAllocateVC(r.allVCs[i], now)
@@ -505,10 +505,10 @@ func (r *router) starvationActive(now int64) bool {
 // Stage 1 builds each switch-port's request mask from the active VCs only
 // and lets the switch-port's arbiter pick among them; stage 2 folds the
 // winners into one request set per output and grants each requested
-// output. Both stages reproduce the closure scans they replace exactly
-// (DESIGN.md §17), including the credit-stall count: a scan counted every
-// credit-starved active VC its arbiter visited before the winner, which is
-// the stall mask restricted to the rotation range [next, winner).
+// output (DESIGN.md §17). creditStallCycles counts the credit-starved
+// active VCs each switch-port's rotation passes before its winner: the
+// stall mask restricted to the rotation range [next, winner), or all of it
+// when nothing wins.
 func (r *router) switchAllocate(now int64) {
 	if r.activeSet.empty() {
 		// No input VC holds a downstream VC, so no switch-port can bid and
@@ -557,6 +557,7 @@ func (r *router) switchAllocate(now int64) {
 		r.sh.ctr.creditStallCycles += uint64(bits.OnesCount64(stall))
 		vc := r.allVCs[r.spVCs[sp][w]]
 		r.spWinner[sp] = vc.globalIdx
+		r.spPrio[sp] = vc.effPrio
 		r.outReq[vc.outPort].set(sp)
 		injWon = injWon || vc.port.isInjection
 	}
@@ -564,15 +565,11 @@ func (r *router) switchAllocate(now int64) {
 	// Injection priority is suppressed while a mesh VC starves. The check
 	// only matters when an injection VC bids, and it must run before the
 	// first traversal below, which resets waitSince.
-	if r.prioArbOn {
-		starved := injWon && r.starvationActive(now)
+	if r.prioArbOn && injWon && r.starvationActive(now) {
 		for o := range r.outReq {
 			for sp := r.outReq[o].nextFrom(0); sp >= 0; sp = r.outReq[o].nextFrom(sp + 1) {
-				vc := r.allVCs[r.spWinner[sp]]
-				if starved && vc.port.isInjection {
+				if r.allVCs[r.spWinner[sp]].port.isInjection {
 					r.spPrio[sp] = 0
-				} else {
-					r.spPrio[sp] = vc.effPrio
 				}
 			}
 		}
