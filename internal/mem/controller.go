@@ -56,10 +56,10 @@ type Controller struct {
 
 	inQ    []*Transaction
 	l2Pipe []pipeEntry
-	// pendLines[i] is a line with a DRAM read outstanding and
-	// pendReaders[i] the reads merged onto it. At most a DRAM queue's worth
-	// of lines is pending, so a scan of the dense slice beats hashing;
-	// entry order is never observable.
+	// pendLines[i] is a line with a DRAM read outstanding (queued in DRAM
+	// or completed and waiting for reply slots) and pendReaders[i] the
+	// reads merged onto it. The lines are few enough that a scan of the
+	// dense slice beats hashing, and entry order is never observable.
 	pendLines   []uint64
 	pendReaders [][]*Transaction
 	dramDone    []*Transaction // completions awaiting reply slot
