@@ -4,7 +4,10 @@
 // merges outstanding misses.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -49,8 +52,9 @@ type way struct {
 // Cache is a set-associative cache with true-LRU replacement. Addresses are
 // byte addresses; the cache works on line granularity internally.
 type Cache struct {
-	cfg   Config
-	sets  [][]way
+	cfg Config
+	// ways holds the sets back to back, Ways entries each (set).
+	ways  []way
 	clock uint64
 	mask  uint64
 	shift uint
@@ -74,12 +78,47 @@ func New(cfg Config) *Cache {
 	for s := 1; s < cfg.LineBytes; s <<= 1 {
 		c.shift++
 	}
-	c.sets = make([][]way, sets)
-	backing := make([]way, sets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
+	c.ways = getWays(sets * cfg.Ways)
 	return c
+}
+
+// wayPools holds the line storage of released caches, one *sync.Pool of
+// *[]way per storage length.
+var wayPools sync.Map
+
+// getWays returns n zero ways, reusing a released cache's storage of that
+// length when there is one.
+func getWays(n int) []way {
+	if p, ok := wayPools.Load(n); ok {
+		if w, _ := p.(*sync.Pool).Get().(*[]way); w != nil {
+			return *w
+		}
+	}
+	return make([]way, n)
+}
+
+// Release hands the cache's line storage back for reuse by a later New, so
+// a program that builds simulators one after another does not allocate it
+// again for each. The cache must not be accessed afterwards; its counters
+// stay readable. Safe to call more than once.
+func (c *Cache) Release() {
+	if c.ways == nil {
+		return
+	}
+	w := c.ways
+	c.ways = nil
+	clear(w)
+	p, ok := wayPools.Load(len(w))
+	if !ok {
+		p, _ = wayPools.LoadOrStore(len(w), new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(&w)
+}
+
+// set returns the ways of set i.
+func (c *Cache) set(i int) []way {
+	lo := i * c.cfg.Ways
+	return c.ways[lo : lo+c.cfg.Ways : lo+c.cfg.Ways]
 }
 
 // LineAddr returns the line-aligned address containing addr.
@@ -114,8 +153,8 @@ type Result struct {
 // Probe reports whether addr currently hits, without disturbing state.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, w := range c.set(set) {
+		if w.valid && w.tag == tag {
 			return true
 		}
 	}
@@ -128,7 +167,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.clock++
 	c.Accesses++
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.Hits++
@@ -172,7 +211,7 @@ func (c *Cache) AccessNoAllocate(addr uint64, write bool) Result {
 	c.clock++
 	c.Accesses++
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.Hits++
@@ -190,8 +229,9 @@ func (c *Cache) AccessNoAllocate(addr uint64, write bool) Result {
 // Invalidate drops addr's line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		w := &ways[i]
 		if w.valid && w.tag == tag {
 			present, dirty = true, w.dirty
 			w.valid = false

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -277,5 +278,33 @@ func TestMSHRConservationQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReleaseReuse checks that a cache built on a released cache's storage
+// starts empty and behaves exactly like a fresh one.
+func TestReleaseReuse(t *testing.T) {
+	cfg := Config{SizeBytes: 1024, LineBytes: 128, Ways: 2}
+	trace := func(c *Cache) []Result {
+		var out []Result
+		for i := uint64(0); i < 64; i++ {
+			out = append(out, c.Access((i*2654435761)%4096&^127, i%3 == 0))
+		}
+		return out
+	}
+	want := trace(New(cfg))
+
+	old := New(cfg)
+	trace(old)
+	old.Release()
+	old.Release()
+	c := New(cfg)
+	for a := uint64(0); a < 4096; a += 128 {
+		if c.Probe(a) {
+			t.Fatalf("line %#x present in a new cache", a)
+		}
+	}
+	if got := trace(c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache on released storage diverged:\n got %v\nwant %v", got, want)
 	}
 }

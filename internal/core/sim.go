@@ -231,9 +231,10 @@ func (s *Simulator) RecoveryStats() noc.RecoveryStats {
 	return agg
 }
 
-// Close releases the worker pool behind sharded stepping. Serial simulators
-// hold no resources, so Close is a no-op for them; it is idempotent and the
-// simulator must not be stepped afterwards.
+// Close releases the worker pool behind sharded stepping and hands the
+// networks' buffers and the caches' line storage back for reuse by the next
+// simulator built in this process. It is idempotent; the simulator must not
+// be stepped or inspected afterwards.
 func (s *Simulator) Close() {
 	if s.pool != nil {
 		s.pool.Close()
@@ -242,6 +243,12 @@ func (s *Simulator) Close() {
 	s.reqNet.Close()
 	if rep, ok := s.repNet.(*noc.Network); ok {
 		rep.Close()
+	}
+	for _, c := range s.cores {
+		c.L1().Release()
+	}
+	for _, mc := range s.mcs {
+		mc.L2().Release()
 	}
 }
 

@@ -206,6 +206,17 @@ func (c *Config) node(id int) NodeConfig {
 	return c.Nodes[id]
 }
 
+// splitQueueFlits is the capacity of each of an NISplit NI's per-VC queues.
+// Each must hold at least one long packet (§4.1); the total NI buffer is kept
+// >= the baseline's in that case.
+func (c *Config) splitQueueFlits() int {
+	per := c.NIQueueFlits / c.VCs
+	if long := c.LongPacketFlits(); per < long {
+		per = long
+	}
+	return per
+}
+
 // LongPacketFlits returns the flit count of long packets under this config.
 func (c *Config) LongPacketFlits() int {
 	return PacketSize(ReadReply, c.LinkBits, c.DataBytes)

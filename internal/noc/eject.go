@@ -30,7 +30,8 @@ type ejector struct {
 
 func newEjector(net *Network, node int, backOut *outputPort) *ejector {
 	cfg := &net.cfg
-	e := &ejector{
+	e := &net.store.ejectors.take(1)[0]
+	*e = ejector{
 		net:     net,
 		node:    node,
 		vcs:     make([]*flitQueue, cfg.VCs),
@@ -39,7 +40,7 @@ func newEjector(net *Network, node int, backOut *outputPort) *ejector {
 		backOut: backOut,
 	}
 	for v := range e.vcs {
-		e.vcs[v] = newFlitQueue(cfg.VCDepth)
+		e.vcs[v] = net.store.newQueue(cfg.VCDepth)
 	}
 	if cfg.RetransBufPkts > 0 {
 		e.vcBad = make([]bool, cfg.VCs)

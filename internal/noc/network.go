@@ -82,6 +82,9 @@ type Network struct {
 	scan   bool
 	pool   pktPool
 	poolMu sync.Mutex
+	// store backs the routers', ejectors' and NIs' buffers (store.go);
+	// Close hands it back for reuse.
+	store *netStore
 
 	// Sharded stepping (see shard.go): the mesh is always partitioned —
 	// into one shard by default, so serial and parallel stepping share one
@@ -113,6 +116,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, scan: cfg.ScanStep}
+	n.store = getStore(&cfg)
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]*router, nodes)
 	n.ejectors = make([]*ejector, nodes)

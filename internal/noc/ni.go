@@ -68,7 +68,8 @@ type NI struct {
 func newNI(net *Network, node int, router *router) *NI {
 	cfg := &net.cfg
 	nc := cfg.node(node)
-	ni := &NI{
+	ni := &net.store.nis.take(1)[0]
+	*ni = NI{
 		net:       net,
 		node:      node,
 		mode:      nc.NI,
@@ -90,19 +91,14 @@ func newNI(net *Network, node int, router *router) *NI {
 	}
 	switch ni.mode {
 	case NISplit:
-		per := cfg.NIQueueFlits / cfg.VCs
-		if per < cfg.LongPacketFlits() {
-			// Each split queue must hold at least one long packet (§4.1);
-			// the total NI buffer is kept >= the baseline's in that case.
-			per = cfg.LongPacketFlits()
-		}
+		per := cfg.splitQueueFlits()
 		ni.splitQueues = make([]*flitQueue, cfg.VCs)
 		for v := range ni.splitQueues {
-			ni.splitQueues[v] = newFlitQueue(per)
+			ni.splitQueues[v] = net.store.newQueue(per)
 		}
 		ni.splitPick = newRoundRobin(cfg.VCs)
 	default:
-		ni.queue = newFlitQueue(cfg.NIQueueFlits)
+		ni.queue = net.store.newQueue(cfg.NIQueueFlits)
 		ni.rrBind = newRoundRobin(len(ni.ports) * cfg.VCs)
 	}
 	if cfg.RetransBufPkts > 0 {

@@ -209,22 +209,22 @@ type router struct {
 func newRouter(net *Network, id int) *router {
 	cfg := &net.cfg
 	nc := cfg.node(id)
-	r := &router{
+	// The router, its ports, VCs and their buffers are carved from the
+	// network's store (store.go) rather than allocated one by one.
+	r := &net.store.routers.take(1)[0]
+	*r = router{
 		net:       net,
 		id:        id,
 		prioArbOn: cfg.PriorityLevels >= 2,
 		lastVA:    -1,
 	}
 
-	// Per-router state is carved from a few blocks rather than allocated
-	// per VC and per port: building a network allocates per router, not
-	// per buffer.
 	numIn := NumDirections + nc.injPorts()
 	nVC := numIn * cfg.VCs
-	vcBlock := make([]inputVC, nVC)
-	flitBlock := make([]flit, nVC*cfg.VCDepth)
-	r.allVCs = make([]*inputVC, nVC)
-	ports := make([]inputPort, numIn)
+	vcBlock := net.store.vcs.take(nVC)
+	flitBlock := net.store.flits.take(nVC * cfg.VCDepth)
+	r.allVCs = net.store.vcPtrs.take(nVC)
+	ports := net.store.inPorts.take(numIn)
 	r.in = make([]*inputPort, numIn)
 	spID := 0
 	for p := range ports {
@@ -293,9 +293,9 @@ func newRouter(net *Network, id int) *router {
 		r.outReq[o] = carve(sw)
 	}
 
-	outs := make([]outputPort, numOutPorts)
-	outVCs := make([]outVCState, numOutPorts*cfg.VCs)
-	creditIn := make([]int, numOutPorts*cfg.VCs)
+	outs := net.store.outPorts.take(numOutPorts)
+	outVCs := net.store.outVCs.take(numOutPorts * cfg.VCs)
+	creditIn := net.store.credits.take(numOutPorts * cfg.VCs)
 	r.out = make([]*outputPort, numOutPorts)
 	r.outArb = make([]*roundRobin, numOutPorts)
 	for o := range outs {

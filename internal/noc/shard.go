@@ -348,12 +348,18 @@ func (n *Network) SetShards(k int, pool *par.Pool) (int, error) {
 func (n *Network) Shards() int { return len(n.shards) }
 
 // Close releases the worker pool a SetShards(k, nil) call made the network
-// own. Safe to call on any network, any number of times.
+// own and hands the network's buffer storage back for reuse by a later
+// NewNetwork. Safe to call on any network, any number of times; the network
+// must not be stepped or inspected afterwards.
 func (n *Network) Close() {
 	if n.ownPool != nil {
 		n.ownPool.Close()
 		n.ownPool = nil
 		n.stepPool = nil
+	}
+	if n.store != nil {
+		putStore(n.store)
+		n.store = nil
 	}
 }
 
