@@ -117,12 +117,12 @@ chaos:
 
 # cluster-soak runs the cluster-wide chaos soak under -race (DESIGN.md §14):
 # three journalled ariserve replicas behind an arigate front door, replicas
-# hard-killed and restarted mid-flight while chaos faults (corruption bursts
-# + link deaths) are active inside every simulation. Invariants: every job
-# answered byte-identically to an uninterrupted run, zero lost jobs, zero
-# re-runs of completed jobs (a post-soak resubmission sweep is served
-# entirely from journals — locally or via cross-replica peer fetch), and the
-# failover/hedging path actually exercised. The cluster unit suites (ring
+# holding an admitted job hard-killed and restarted mid-flight while chaos
+# faults (corruption bursts + link deaths) are active inside every
+# simulation. Invariants: every job answered byte-identically to an
+# uninterrupted run, zero lost jobs, zero re-runs of completed jobs (a
+# post-soak resubmission sweep is served entirely from journals — locally
+# or via cross-replica peer fetch), and at least one gateway failover. The cluster unit suites (ring
 # properties, breaker, gateway routing) and the arigate lifecycle smoke run
 # alongside.
 cluster-soak:
@@ -142,7 +142,7 @@ loadtest:
 # schema fixture, the instrumented-vs-plain byte-identity lock, the
 # per-class NetStats counters, the decomposition + SLO-figure goldens, the
 # /metrics, /debug/nocstate and pprof endpoint tests (DESIGN.md §10), the
-# distributed-tracing suites (trace continuation, hedge propagation,
+# distributed-tracing suites (trace continuation, failover propagation,
 # traced-vs-plain byte identity; DESIGN.md §15), and the 2-replica traced
 # cluster smoke: one gateway-routed job must export a single schema-valid
 # Chrome trace spanning gateway, replica and NoC packets.

@@ -1,18 +1,18 @@
 // Command arigate is the cluster front door: it routes job submissions to
 // N ariserve replicas by consistent hash over their idempotency key
-// (exp.JobKey), with health-checked failover, hedged requests, and load
+// (exp.JobKey), with health-checked failover, one owner at a time, and load
 // shedding (internal/cluster).
 //
 // Usage:
 //
 //	arigate -replicas http://a:8080,http://b:8080,http://c:8080
-//	arigate -addr :9090 -replication 2 -hedge-after 250ms
+//	arigate -addr :9090 -replication 2
 //	arigate -probe-interval 500ms -breaker-threshold 3
 //
 // API:
 //
 //	POST /v1/jobs          route a submission to its owner replicas
-//	GET  /v1/stats         routing/failover/hedge counters
+//	GET  /v1/stats         routing/failover/shed counters
 //	GET  /healthz          gateway liveness
 //	GET  /readyz           200 while >= 1 replica is routable, else 503
 //	GET  /metrics          Prometheus text: routing, per-replica health, SLO
@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		replicas  = fs.String("replicas", "", "comma-separated ariserve base URLs (required)")
 		repl      = fs.Int("replication", 2, "owners per job key (failover depth)")
 		vnodes    = fs.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per replica on the hash ring")
-		hedge     = fs.Duration("hedge-after", 250*time.Millisecond, "race a secondary owner after this long (negative disables)")
 		probe     = fs.Duration("probe-interval", 500*time.Millisecond, "readyz health-probe cadence")
 		threshold = fs.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit")
 		cycles    = fs.Int64("cycles", 10000, "default measured cycles (must match the replicas' base)")
@@ -99,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		Replicas:         urls,
 		Vnodes:           *vnodes,
 		Replication:      *repl,
-		HedgeAfter:       *hedge,
 		ProbeInterval:    *probe,
 		BreakerThreshold: *threshold,
 		TraceSample:      *traceSamp,
@@ -136,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		return err
 	}
 	st := g.Stats()
-	fmt.Fprintf(stdout, "arigate: stopped; %d routed, %d failovers, %d hedges, %d shed\n",
-		st.Requests, st.Failovers, st.Hedges, st.Shed)
+	fmt.Fprintf(stdout, "arigate: stopped; %d routed, %d failovers, %d shed\n",
+		st.Requests, st.Failovers, st.Shed)
 	return nil
 }

@@ -35,12 +35,6 @@ type Config struct {
 	// the failover depth. Default 2, clamped to len(Replicas).
 	Replication int
 
-	// HedgeAfter races a secondary owner when the primary has not answered
-	// within this long (default 250ms; negative disables hedging).
-	// Idempotent jobs make the duplicate harmless, determinism makes both
-	// answers identical — first one back wins.
-	HedgeAfter time.Duration
-
 	// ProbeInterval is the readyz health-probe cadence (default 500ms).
 	ProbeInterval time.Duration
 
@@ -77,11 +71,12 @@ type Stats struct {
 	// was down or shedding.
 	Shed int64 `json:"shed"`
 	// Failovers counts attempts launched because a prior owner failed or
-	// shed; Hedges counts attempts launched because a prior owner was slow.
+	// shed.
 	Failovers int64 `json:"failovers"`
+	// Hedges and HedgeWins are always 0: the gateway tries owners one at a
+	// time and never races a duplicate of a deterministic job. They remain
+	// in /v1/stats only because the perfbench serve-mix workload reads them.
 	Hedges    int64 `json:"hedges"`
-	// HedgeWins counts requests whose winning answer came from a hedged
-	// attempt.
 	HedgeWins int64 `json:"hedge_wins"`
 	// Replicas is the per-replica routing + health table.
 	Replicas []ReplicaStats `json:"replicas"`
@@ -96,22 +91,21 @@ type ReplicaStats struct {
 
 // Gateway is the arigate front door: an http.Handler that routes job
 // submissions to ariserve replicas by consistent hash over their JobKey,
-// with health-checked failover, hedging, and load shedding.
+// with health-checked failover and load shedding.
 //
 //	POST /v1/jobs   route a JobRequest to its owner replicas
-//	GET  /v1/stats  routing/failover/hedge counters (Stats)
+//	GET  /v1/stats  routing/failover/shed counters (Stats)
 //	GET  /healthz   liveness of the gateway process
 //	GET  /readyz    200 while >= 1 replica is routable, else 503
-//	GET  /metrics   Prometheus text: routing, failover, hedge, per-replica
+//	GET  /metrics   Prometheus text: routing, failover, shed, per-replica
 type Gateway struct {
-	base       core.Config
-	ring       *Ring
-	health     *Health
-	repl       int
-	hedgeAfter time.Duration
-	hc         *http.Client
-	mux        *http.ServeMux
-	started    time.Time
+	base    core.Config
+	ring    *Ring
+	health  *Health
+	repl    int
+	hc      *http.Client
+	mux     *http.ServeMux
+	started time.Time
 
 	spans       *obs.SpanRecorder
 	traceSample int
@@ -124,8 +118,6 @@ type Gateway struct {
 	requests  int64
 	shed      int64
 	failovers int64
-	hedges    int64
-	hedgeWins int64
 	routed    map[string]int64
 }
 
@@ -142,10 +134,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if repl > len(ring.replicas) {
 		repl = len(ring.replicas)
-	}
-	hedge := cfg.HedgeAfter
-	if hedge == 0 {
-		hedge = 250 * time.Millisecond
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -164,7 +152,6 @@ func New(cfg Config) (*Gateway, error) {
 		ring:        ring,
 		health:      NewHealth(ring.Replicas(), cfg.BreakerThreshold, cfg.ProbeInterval, hc),
 		repl:        repl,
-		hedgeAfter:  hedge,
 		hc:          hc,
 		started:     time.Now(),
 		spans:       obs.NewSpanRecorder(cfg.TraceCap),
@@ -215,8 +202,6 @@ func (g *Gateway) Stats() Stats {
 		Requests:  g.requests,
 		Shed:      g.shed,
 		Failovers: g.failovers,
-		Hedges:    g.hedges,
-		HedgeWins: g.hedgeWins,
 		Replicas:  make([]ReplicaStats, 0, len(rows)),
 	}
 	for _, row := range rows {
@@ -241,8 +226,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // attemptResult is one proxied attempt's outcome.
 type attemptResult struct {
-	replica    string
-	hedged     bool
 	err        error // transport failure; status fields unset
 	status     int
 	retryAfter int
@@ -256,8 +239,8 @@ type attemptResult struct {
 }
 
 // handleJobs routes one submission: consistent-hash owners, healthy-first,
-// hedged when slow, failing over on shed/unavailable/transport errors, and
-// shedding 429 + Retry-After itself when every owner is out.
+// tried one after another, failing over on shed/unavailable/transport
+// errors, and shedding 429 + Retry-After itself when every owner is out.
 func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -317,147 +300,87 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
 	g.requests++
 	g.mu.Unlock()
-	if len(cands) == 0 {
-		recordRoot("shed")
-		g.slo.Fail()
-		g.shedOne(w, 0, "")
-		return
-	}
 
-	// Proxy with hedging + failover. The per-request context cancels every
-	// losing attempt the moment an answer is relayed.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	results := make(chan attemptResult, len(cands))
-	next, pending := 0, 0
-	launch := func(hedged bool) bool {
-		if next >= len(cands) {
-			return false
-		}
-		rep := cands[next]
-		next++
-		pending++
+	// Failover, one owner at a time. A job is a pure function of its key, so
+	// a second copy racing the first could only repeat it: each owner is
+	// tried only after the previous one has answered or failed.
+	ctx := r.Context()
+	maxRetryAfter := 0
+	rawRetryAfter := ""
+	for i, rep := range cands {
 		g.mu.Lock()
+		if i > 0 {
+			g.failovers++
+		}
 		g.routed[rep]++
 		g.mu.Unlock()
 		// Each attempt gets its own child span and propagates it to the
 		// replica, so the replica's spans parent under the attempt that
-		// reached it — hedge legs share the trace ID but not span IDs.
+		// reached it — failover attempts share the trace ID but not span IDs.
 		var att obs.Span
 		var attCtx string
 		if root.Trace != "" {
 			att = obs.StartSpan(root.Trace, root.ID, "gateway.attempt", "arigate")
 			att.SetAttr("replica", rep)
-			if hedged {
-				att.SetAttr("hedged", "true")
-			}
 			attCtx = obs.TraceContext{Trace: att.Trace, Span: att.ID}.String()
 		}
-		go func() {
-			t0 := time.Now()
-			res := g.forward(ctx, rep, body, hedged, attCtx)
-			g.attemptHist.ObserveDuration(time.Since(t0))
-			if att.Trace != "" {
-				// The span closes here even when this leg lost the race and
-				// was cancelled: a hedge's loser leaves a span marked
-				// cancelled, never a dangling one.
-				att.End()
-				if res.err != nil {
-					att.SetAttr("error", res.err.Error())
-					if ctx.Err() != nil {
-						att.SetAttr("cancelled", "true")
-					}
-				} else {
-					att.SetAttr("status", strconv.Itoa(res.status))
-				}
-				g.spans.Record(att)
-			}
-			results <- res
-		}()
-		return true
-	}
-	launch(false)
-
-	var hedgeC <-chan time.Time
-	if g.hedgeAfter > 0 && len(cands) > 1 {
-		t := time.NewTimer(g.hedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	maxRetryAfter := 0
-	rawRetryAfter := ""
-	for pending > 0 {
-		select {
-		case res := <-results:
-			pending--
+		t0 := time.Now()
+		res := g.forward(ctx, rep, body, attCtx)
+		g.attemptHist.ObserveDuration(time.Since(t0))
+		if att.Trace != "" {
+			att.End()
 			if res.err != nil {
+				att.SetAttr("error", res.err.Error())
 				if ctx.Err() != nil {
-					return // client gone; nothing to answer
+					att.SetAttr("cancelled", "true") // the client went away
 				}
-				// Transport failure: the restart/death signature. Feed the
-				// breaker and re-route to the next owner.
-				g.health.ReportFailure(res.replica)
-				if launch(false) {
-					g.mu.Lock()
-					g.failovers++
-					g.mu.Unlock()
-				}
-				continue
+			} else {
+				att.SetAttr("status", strconv.Itoa(res.status))
 			}
-			g.health.ReportSuccess(res.replica)
-			switch {
-			case res.status >= 200 && res.status < 300:
-				if res.hedged {
-					g.mu.Lock()
-					g.hedgeWins++
-					g.mu.Unlock()
-				}
-				g.routeHist.ObserveDuration(time.Since(start))
-				g.slo.Observe(time.Since(start).Microseconds())
-				recordRoot("ok")
-				relay(w, res)
-				return
-			case res.status == http.StatusTooManyRequests ||
-				res.status == http.StatusServiceUnavailable ||
-				res.status == http.StatusBadGateway ||
-				res.status == http.StatusGatewayTimeout:
-				// The owner is alive but shedding or draining: degrade
-				// sideways to the next owner before degrading to a shed.
-				// Keep every hint the owners offered: the max parsed delay,
-				// and failing any parseable one, the last raw header — an
-				// HTTP-date hint must reach the client, not vanish here.
-				if res.retryAfter > maxRetryAfter {
-					maxRetryAfter = res.retryAfter
-				}
-				if res.retryAfter == 0 && res.retryAfterRaw != "" {
-					rawRetryAfter = res.retryAfterRaw
-				}
-				if launch(false) {
-					g.mu.Lock()
-					g.failovers++
-					g.mu.Unlock()
-				}
-			default:
-				// Deterministic rejection (malformed job, simulation
-				// failure): identical on every replica, so relay verbatim —
-				// failing over would only duplicate the failure.
-				if res.status >= 500 {
-					g.slo.Fail()
-				}
-				recordRoot("rejected " + strconv.Itoa(res.status))
-				relay(w, res)
-				return
+			g.spans.Record(att)
+		}
+		if res.err != nil {
+			if ctx.Err() != nil {
+				return // client gone; nothing to answer
 			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launch(true) {
-				g.mu.Lock()
-				g.hedges++
-				g.mu.Unlock()
+			// Transport failure: the restart/death signature. Feed the
+			// breaker and re-route to the next owner.
+			g.health.ReportFailure(rep)
+			continue
+		}
+		g.health.ReportSuccess(rep)
+		switch {
+		case res.status >= 200 && res.status < 300:
+			g.routeHist.ObserveDuration(time.Since(start))
+			g.slo.Observe(time.Since(start).Microseconds())
+			recordRoot("ok")
+			relay(w, res)
+			return
+		case res.status == http.StatusTooManyRequests ||
+			res.status == http.StatusServiceUnavailable ||
+			res.status == http.StatusBadGateway ||
+			res.status == http.StatusGatewayTimeout:
+			// The owner is alive but shedding or draining: degrade
+			// sideways to the next owner before degrading to a shed.
+			// Keep every hint the owners offered: the max parsed delay,
+			// and failing any parseable one, the last raw header — an
+			// HTTP-date hint must reach the client, not vanish here.
+			if res.retryAfter > maxRetryAfter {
+				maxRetryAfter = res.retryAfter
 			}
-		case <-ctx.Done():
-			return // client gone
+			if res.retryAfter == 0 && res.retryAfterRaw != "" {
+				rawRetryAfter = res.retryAfterRaw
+			}
+		default:
+			// Deterministic rejection (malformed job, simulation
+			// failure): identical on every replica, so relay verbatim —
+			// failing over would only duplicate the failure.
+			if res.status >= 500 {
+				g.slo.Fail()
+			}
+			recordRoot("rejected " + strconv.Itoa(res.status))
+			relay(w, res)
+			return
 		}
 	}
 	// Every owner of this key is down or shedding: shed with the most
@@ -470,8 +393,8 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 // forward performs one proxied POST /v1/jobs round trip to replica.
 // traceCtx, when non-empty, is the attempt's X-Ari-Trace value — the replica
 // parents its spans under this attempt.
-func (g *Gateway) forward(ctx context.Context, replica string, body []byte, hedged bool, traceCtx string) attemptResult {
-	out := attemptResult{replica: replica, hedged: hedged}
+func (g *Gateway) forward(ctx context.Context, replica string, body []byte, traceCtx string) attemptResult {
+	var out attemptResult
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, replica+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		out.err = err

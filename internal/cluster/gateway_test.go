@@ -84,7 +84,7 @@ func TestGatewayRoutesToPrimaryOwner(t *testing.T) {
 		urls[i] = reps[i].ts.URL
 	}
 	base := core.DefaultConfig()
-	g := gateFor(t, Config{Base: base, Replicas: urls, HedgeAfter: -1})
+	g := gateFor(t, Config{Base: base, Replicas: urls})
 
 	req := serve.JobRequest{Bench: "bfs"}
 	primary := g.Ring().Owners(jobKeyFor(t, base, req), 1)[0]
@@ -118,7 +118,7 @@ func TestGatewayFailsOverWhenPrimaryDies(t *testing.T) {
 		urls[i] = reps[i].ts.URL
 	}
 	base := core.DefaultConfig()
-	g := gateFor(t, Config{Base: base, Replicas: urls, HedgeAfter: -1})
+	g := gateFor(t, Config{Base: base, Replicas: urls})
 
 	req := serve.JobRequest{Bench: "bfs"}
 	primary := g.Ring().Owners(jobKeyFor(t, base, req), 2)[0]
@@ -160,7 +160,7 @@ func TestGatewayFailsOverOnShed(t *testing.T) {
 	a := startFakeReplica(t, shedding)
 	b := startFakeReplica(t, shedding)
 	urls := []string{a.ts.URL, b.ts.URL}
-	g := gateFor(t, Config{Base: base, Replicas: urls, HedgeAfter: -1})
+	g := gateFor(t, Config{Base: base, Replicas: urls})
 
 	// Both owners shed: the gateway sheds too, relaying the worst Retry-After.
 	w := postJob(t, g, req)
@@ -185,7 +185,7 @@ func TestGatewayShedsWhenAllOwnersDown(t *testing.T) {
 	a.ts.Close()
 	b.ts.Close()
 
-	g := gateFor(t, Config{Base: core.DefaultConfig(), Replicas: urls, HedgeAfter: -1})
+	g := gateFor(t, Config{Base: core.DefaultConfig(), Replicas: urls})
 	w := postJob(t, g, serve.JobRequest{Bench: "bfs"})
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("dead cluster: %d %s", w.Code, w.Body)
@@ -207,7 +207,7 @@ func TestGatewayRelaysTerminalRejection(t *testing.T) {
 	}
 	a := startFakeReplica(t, rejecting)
 	b := startFakeReplica(t, rejecting)
-	g := gateFor(t, Config{Base: core.DefaultConfig(), Replicas: []string{a.ts.URL, b.ts.URL}, HedgeAfter: -1})
+	g := gateFor(t, Config{Base: core.DefaultConfig(), Replicas: []string{a.ts.URL, b.ts.URL}})
 
 	w := postJob(t, g, serve.JobRequest{Bench: "bfs"})
 	if w.Code != http.StatusInternalServerError {
@@ -244,43 +244,34 @@ func TestGatewayRejectsBadRequestsItself(t *testing.T) {
 	}
 }
 
-func TestGatewayHedgesSlowPrimary(t *testing.T) {
+// TestGatewayDoesNotDuplicateSlowPrimary: a primary that takes 400ms is
+// waited for, never raced by a second owner — a deterministic job runs
+// once, on one replica.
+func TestGatewayDoesNotDuplicateSlowPrimary(t *testing.T) {
 	base := core.DefaultConfig()
 	req := serve.JobRequest{Bench: "bfs"}
 
-	// The first attempt (the primary) blocks until the request is cancelled;
-	// any later attempt (the hedge) answers immediately. The hedge must win.
-	release := make(chan struct{})
-	defer close(release)
-	var first atomic.Bool
-	hedgeAware := func(w http.ResponseWriter, r *http.Request) {
-		if first.CompareAndSwap(false, true) {
-			select {
-			case <-release:
-			case <-r.Context().Done():
-			}
-			return
-		}
+	slow := func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(400 * time.Millisecond)
 		okJobs("k")(w, r)
 	}
-	a := startFakeReplica(t, hedgeAware)
-	b := startFakeReplica(t, hedgeAware)
-	g := gateFor(t, Config{Base: base, Replicas: []string{a.ts.URL, b.ts.URL}, HedgeAfter: 20 * time.Millisecond})
+	a := startFakeReplica(t, slow)
+	b := startFakeReplica(t, slow)
+	g := gateFor(t, Config{Base: base, Replicas: []string{a.ts.URL, b.ts.URL}})
+	if g.Ring().Owners(jobKeyFor(t, base, req), 1)[0] != a.ts.URL {
+		a, b = b, a // name the primary a
+	}
 
-	start := time.Now()
 	w := postJob(t, g, req)
 	if w.Code != http.StatusOK {
-		t.Fatalf("hedged submit: %d %s", w.Code, w.Body)
+		t.Fatalf("slow-primary submit: %d %s", w.Code, w.Body)
 	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("hedge did not rescue a stuck primary: %s", took)
+	if a.hits.Load() != 1 || b.hits.Load() != 0 {
+		t.Fatalf("hits = primary %d + secondary %d, want exactly one attempt on the primary",
+			a.hits.Load(), b.hits.Load())
 	}
-	st := g.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("hedges=%d hedgeWins=%d, want 1/1", st.Hedges, st.HedgeWins)
-	}
-	if a.hits.Load()+b.hits.Load() != 2 {
-		t.Fatalf("hits = %d + %d, want one primary + one hedge", a.hits.Load(), b.hits.Load())
+	if st := g.Stats(); st.Requests != 1 || st.Failovers != 0 {
+		t.Fatalf("stats = %+v, want one request and no failover", st)
 	}
 }
 

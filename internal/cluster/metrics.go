@@ -15,8 +15,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Metric("arigate_requests_total", "Job submissions accepted for routing.", "counter", float64(st.Requests))
 	p.Metric("arigate_shed_total", "Submissions answered 429 because every owner was down or shedding.", "counter", float64(st.Shed))
 	p.Metric("arigate_failovers_total", "Attempts launched because a prior owner failed or shed.", "counter", float64(st.Failovers))
-	p.Metric("arigate_hedges_total", "Attempts launched because a prior owner was slow.", "counter", float64(st.Hedges))
-	p.Metric("arigate_hedge_wins_total", "Requests won by a hedged attempt.", "counter", float64(st.HedgeWins))
 	p.Metric("arigate_replicas", "Replicas on the routing ring.", "gauge", float64(len(st.Replicas)))
 
 	p.Family("arigate_replica_up", "Whether the replica's circuit is closed (routable).", "gauge")
@@ -34,7 +32,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	p.Histogram("arigate_route_seconds", "End-to-end routing latency of answered submissions.",
 		g.routeHist.Snapshot(), 1e-6)
-	p.Histogram("arigate_attempt_seconds", "Latency of individual proxied attempts (including failed and cancelled legs).",
+	p.Histogram("arigate_attempt_seconds", "Latency of individual proxied attempts (including failed and cancelled ones).",
 		g.attemptHist.Snapshot(), 1e-6)
 	g.slo.Report().WriteMetrics(&p, "arigate")
 

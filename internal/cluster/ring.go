@@ -10,8 +10,9 @@
 //
 //  1. Healthy: jobs route to their primary owner; duplicates anywhere in
 //     the cluster are answered from journals via peer fetch.
-//  2. Slow primary: a hedged request races a secondary owner; idempotency
-//     makes the duplicate run harmless, determinism makes it identical.
+//  2. Slow primary: the gateway waits for it. A second copy on another
+//     owner could only repeat a deterministic run, so owners are tried one
+//     after another, never raced.
 //  3. Dead primary: the readyz-probing circuit breaker opens after
 //     BreakerThreshold consecutive failures and routing falls over to the
 //     next owner on the ring; the probe loop closes the circuit on recovery.

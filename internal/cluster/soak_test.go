@@ -177,12 +177,11 @@ func TestClusterChaosSoakByteIdentical(t *testing.T) {
 		reps[i] = startSoakReplicaOn(t, base, paths[i], lns[i], peersOf(i))
 	}
 
-	// The front door: replication 2, aggressive probing, hedging on.
+	// The front door: replication 2, aggressive probing.
 	g, err := New(Config{
 		Base:             base,
 		Replicas:         urls,
 		Replication:      2,
-		HedgeAfter:       150 * time.Millisecond,
 		ProbeInterval:    25 * time.Millisecond,
 		BreakerThreshold: 3,
 	})
@@ -221,9 +220,11 @@ func TestClusterChaosSoakByteIdentical(t *testing.T) {
 		}(i, k.Name)
 	}
 
-	// Rolling kills: hard-kill replica 0 once the cluster has journalled a
-	// few runs, restart it, then do the same to replica 1. Each restart is
-	// a fresh process image warming from its crash-only journal.
+	// Rolling kills: twice, once the cluster has journalled a few runs,
+	// hard-kill a replica that holds an admitted job, then restart it. The
+	// aborted run's attempt answers 503 or loses its connection, so every
+	// kill makes the gateway fail over. Each restart is a fresh process
+	// image warming from its crash-only journal.
 	waitJournalled := func(n int) {
 		t.Helper()
 		deadline := time.Now().Add(time.Minute)
@@ -234,8 +235,23 @@ func TestClusterChaosSoakByteIdentical(t *testing.T) {
 			t.Fatalf("cluster never reached %d journalled runs (at %d)", n, got)
 		}
 	}
-	for round, victim := range []int{0, 1} {
+	busyReplica := func() int {
+		t.Helper()
+		deadline := time.Now().Add(time.Minute)
+		for time.Now().Before(deadline) {
+			for i, r := range reps {
+				if r.srv.Stats().Admitted > 0 {
+					return i
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatal("no replica ever held an admitted job to kill")
+		return -1
+	}
+	for round := 0; round < 2; round++ {
 		waitJournalled(3 + 4*round)
+		victim := busyReplica()
 		reps[victim].kill(t)
 		// Leave the hole open long enough for the breaker/probes to see it
 		// and for routing to fail over.
@@ -262,11 +278,10 @@ func TestClusterChaosSoakByteIdentical(t *testing.T) {
 
 	// The kill windows must actually have exercised the failover path.
 	st := g.Stats()
-	if st.Failovers == 0 && st.Hedges == 0 {
-		t.Fatalf("soak never failed over or hedged: stats %+v", st)
+	if st.Failovers == 0 {
+		t.Fatalf("soak never failed over: stats %+v", st)
 	}
-	t.Logf("gate: %d requests, %d failovers, %d hedges (%d wins), %d shed",
-		st.Requests, st.Failovers, st.Hedges, st.HedgeWins, st.Shed)
+	t.Logf("gate: %d requests, %d failovers, %d shed", st.Requests, st.Failovers, st.Shed)
 
 	// Zero re-runs of completed jobs: resubmit the whole suite through the
 	// gate. Every answer must come from a journal — the routed owner's own,

@@ -9,49 +9,43 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// TestGatewayHedgeTracePropagation pins the trace contract under hedging:
-// both legs carry the same trace ID with distinct span IDs, the client gets
-// the root context echoed back, and the losing leg's span still closes
-// (marked cancelled) after the winner is relayed.
-func TestGatewayHedgeTracePropagation(t *testing.T) {
-	base := core.DefaultConfig()
-	req := serve.JobRequest{Bench: "bfs"}
-
-	release := make(chan struct{})
-	defer close(release)
+// TestGatewayFailoverTracePropagation pins the trace contract across a
+// failover: both attempts carry the root's trace ID with distinct span IDs,
+// the client gets the root context echoed back, and each attempt records its
+// own gateway.attempt span under the root.
+func TestGatewayFailoverTracePropagation(t *testing.T) {
 	var first atomic.Bool
 	var mu sync.Mutex
 	var headers []string
-	hedgeAware := func(w http.ResponseWriter, r *http.Request) {
+	shedFirst := func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		headers = append(headers, r.Header.Get(obs.TraceHeader))
 		mu.Unlock()
 		if first.CompareAndSwap(false, true) {
-			select {
-			case <-release:
-			case <-r.Context().Done():
-			}
+			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
 		okJobs("k")(w, r)
 	}
-	a := startFakeReplica(t, hedgeAware)
-	b := startFakeReplica(t, hedgeAware)
+	a := startFakeReplica(t, shedFirst)
+	b := startFakeReplica(t, shedFirst)
 	g := gateFor(t, Config{
-		Base: base, Replicas: []string{a.ts.URL, b.ts.URL},
-		HedgeAfter: 20 * time.Millisecond, TraceSample: 1,
+		Base: core.DefaultConfig(), Replicas: []string{a.ts.URL, b.ts.URL},
+		TraceSample: 1,
 	})
 
-	w := postJob(t, g, req)
+	w := postJob(t, g, serve.JobRequest{Bench: "bfs"})
 	if w.Code != http.StatusOK {
-		t.Fatalf("hedged submit: %d %s", w.Code, w.Body)
+		t.Fatalf("failover submit: %d %s", w.Code, w.Body)
+	}
+	if st := g.Stats(); st.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", st.Failovers)
 	}
 
 	// The client learns the root context from the response header.
@@ -60,52 +54,50 @@ func TestGatewayHedgeTracePropagation(t *testing.T) {
 		t.Fatalf("response %s header = %q, not a trace context", obs.TraceHeader, w.Header().Get(obs.TraceHeader))
 	}
 
-	// Both legs saw the same trace with distinct attempt spans.
+	// Both attempts saw the same trace with distinct attempt spans.
 	mu.Lock()
 	got := append([]string(nil), headers...)
 	mu.Unlock()
 	if len(got) != 2 {
-		t.Fatalf("legs seen = %d, want 2 (%q)", len(got), got)
+		t.Fatalf("attempts seen = %d, want 2 (%q)", len(got), got)
 	}
 	tc0, ok0 := obs.ParseTraceContext(got[0])
 	tc1, ok1 := obs.ParseTraceContext(got[1])
 	if !ok0 || !ok1 {
-		t.Fatalf("legs carried unparsable contexts: %q", got)
+		t.Fatalf("attempts carried unparsable contexts: %q", got)
 	}
 	if tc0.Trace != echo.Trace || tc1.Trace != echo.Trace {
-		t.Fatalf("trace IDs diverge: root=%s legs=%s,%s", echo.Trace, tc0.Trace, tc1.Trace)
+		t.Fatalf("trace IDs diverge: root=%s attempts=%s,%s", echo.Trace, tc0.Trace, tc1.Trace)
 	}
 	if tc0.Span == tc1.Span {
-		t.Fatalf("hedge legs share a span ID: %s", tc0.Span)
+		t.Fatalf("failover attempts share a span ID: %s", tc0.Span)
 	}
 
-	// The loser's span closes once its context is cancelled; poll for it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		spans := g.spans.Spans(echo.Trace)
-		var root, attempts, cancelled int
-		for _, s := range spans {
-			switch s.Name {
-			case "gateway.route":
-				root++
-				if s.Attrs["outcome"] != "ok" {
-					t.Fatalf("root outcome = %q", s.Attrs["outcome"])
-				}
-			case "gateway.attempt":
-				attempts++
-				if s.Attrs["cancelled"] == "true" {
-					cancelled++
-				}
+	// Spans are recorded before the answer is relayed: one root, two
+	// attempts parented under it, the first marked with the owner's 503.
+	var roots, attempts, shed int
+	for _, s := range g.spans.Spans(echo.Trace) {
+		switch s.Name {
+		case "gateway.route":
+			roots++
+			if s.ID != echo.Span {
+				t.Fatalf("client got span %s, root is %s", echo.Span, s.ID)
+			}
+			if s.Attrs["outcome"] != "ok" {
+				t.Fatalf("root outcome = %q", s.Attrs["outcome"])
+			}
+		case "gateway.attempt":
+			attempts++
+			if s.Parent != echo.Span {
+				t.Fatalf("attempt parented under %s, want the root %s", s.Parent, echo.Span)
+			}
+			if s.Attrs["status"] == "503" {
+				shed++
 			}
 		}
-		if root == 1 && attempts == 2 && cancelled == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("spans never settled: root=%d attempts=%d cancelled=%d (%+v)",
-				root, attempts, cancelled, spans)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if roots != 1 || attempts != 2 || shed != 1 {
+		t.Fatalf("spans: root=%d attempts=%d status-503=%d, want 1/2/1", roots, attempts, shed)
 	}
 }
 

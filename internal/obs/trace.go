@@ -17,7 +17,7 @@ import (
 // admission, queue wait and the simulation itself, and links the sampled
 // NoC packet lifecycles of that run (Collector) into the same trace. Spans
 // from every process merge into one Chrome trace_event timeline, so a slow
-// query is explainable end to end: gateway hedges, replica queueing, the
+// query is explainable end to end: gateway failovers, replica queueing, the
 // run, and the packets inside the simulated fabric, all under one trace ID.
 
 // TraceHeader carries the trace context between processes as

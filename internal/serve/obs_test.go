@@ -68,7 +68,9 @@ func TestMetricsEndpointIdleServer(t *testing.T) {
 	}
 }
 
-// blockedJob submits a never-finishing job and waits until it is admitted.
+// blockedJob submits a never-finishing job and waits until the run monitor
+// lists it. Admission alone is not enough: a job holds its queue slot before
+// its simulator is built and registered with the monitor.
 func blockedJob(t *testing.T, s *serve.Server, ts string) {
 	t.Helper()
 	go func() {
@@ -78,8 +80,13 @@ func blockedJob(t *testing.T, s *serve.Server, ts string) {
 			resp.Body.Close()
 		}
 	}()
-	pollUntil(t, 5*time.Second, "the job to be admitted", func() bool {
-		return s.Stats().Admitted == 1
+	pollUntil(t, 5*time.Second, "the job to reach the run monitor", func() bool {
+		_, body := getBody(t, ts+"/debug/nocstate")
+		var out struct {
+			Jobs []json.RawMessage `json:"jobs"`
+		}
+		return json.Unmarshal([]byte(body), &out) == nil && len(out.Jobs) > 0 &&
+			s.Stats().Admitted == 1
 	})
 }
 
