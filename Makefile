@@ -140,7 +140,8 @@ loadtest:
 # obs runs the observability suites under vet + -race: registry/collector
 # semantics (incl. the allocation-free sampling guard), the Chrome-trace
 # schema fixture, the instrumented-vs-plain byte-identity lock, the
-# per-class NetStats counters, the decomposition + SLO-figure goldens, the
+# per-class NetStats counters, the decomposition + SLO-figure goldens and
+# their `ariexp -fig decompose|slo` CLI path, the
 # /metrics, /debug/nocstate and pprof endpoint tests (DESIGN.md §10), the
 # distributed-tracing suites (trace continuation, failover propagation,
 # traced-vs-plain byte identity; DESIGN.md §15), and the 2-replica traced
@@ -151,6 +152,7 @@ obs:
 	go test -race -count=1 ./internal/obs ./internal/stats
 	go test -race -count=1 ./internal/noc -run 'NetStats|VAGrant|Tracer'
 	go test -race -count=1 ./internal/exp -run 'Decompose|SLOFigure'
+	go test -race -count=1 ./cmd/ariexp -run 'Decompose|SLO'
 	go test -race -count=1 ./internal/serve -run 'Metrics|NoCState|Pprof|Observability|Trace|ByteIdentical|DebugEndpoints'
 	go test -race -count=1 ./internal/cluster -run 'Trace|RetryAfter|Rollup|ClusterMetrics'
 

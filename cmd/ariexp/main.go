@@ -2,10 +2,12 @@
 //
 // Usage:
 //
-//	ariexp -fig 11                # one figure (table1,3,4,5,util,6,9..16,scale,area)
+//	ariexp -fig 11                # one figure (ids: -list)
 //	ariexp -fig all               # everything, in paper order
 //	ariexp -fig 11 -cycles 20000  # longer measurement window
 //	ariexp -quick                 # fast smoke pass (short horizons)
+//	ariexp -csv results_csv       # also write fig_<id>.csv and report.md (Markdown)
+//	ariexp -fig slo -bench srad   # trace-sampled figures run on the first -bench kernel
 //	ariexp -v                     # per-run progress
 //	ariexp -bench bfs,srad        # restrict the suite to a benchmark subset
 //	ariexp -journal runs.jsonl    # resume an interrupted pass from a journal
@@ -56,21 +58,31 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ariexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	r := exp.NewRunner()
+	var journal string
+	exp.HorizonFlags(fs, &r.Base)
+	exp.SeedFlag(fs, &r.Base)
+	exp.JournalFlag(fs, &journal)
+	exp.TimeoutFlag(fs, &r.RunTimeout)
 	var (
 		fig     = fs.String("fig", "all", "figure id or 'all'")
-		cycles  = fs.Int64("cycles", 10000, "measured NoC cycles per run")
-		warmup  = fs.Int64("warmup", 3000, "warmup NoC cycles per run")
-		quick   = fs.Bool("quick", false, "short horizons for a smoke pass")
+		quick   = fs.Bool("quick", false, "short horizons for a smoke pass (3000 measured + 1000 warmup cycles; explicit -cycles/-warmup still win)")
 		verbose = fs.Bool("v", false, "print per-run progress")
-		workers = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		seed    = fs.Uint64("seed", 1, "simulation seed")
-		csvDir  = fs.String("csv", "", "also write each figure's table as CSV into this directory")
+		csvDir  = fs.String("csv", "", "also write each figure's table as CSV, and all of them as report.md, into this directory")
 		list    = fs.Bool("list", false, "list figure ids and exit")
-		bench   = fs.String("bench", "", "comma-separated benchmark subset (default: full suite)")
-		journal = fs.String("journal", "", "JSONL result journal; an interrupted pass resumes from it")
-		timeout = fs.Duration("timeout", 0, "per-run wall-time limit (0 = unlimited)")
+		bench   = fs.String("bench", "", "comma-separated benchmark subset (default: full suite; the trace-sampled figures run on its first)")
 	)
-	if err := fs.Parse(args); err != nil {
+	fs.IntVar(&r.Workers, "workers", r.Workers, "parallel simulations (0 = GOMAXPROCS)")
+	quickPreset := func() error {
+		if *quick {
+			r.Base.MeasureCycles, r.Base.WarmupCycles = 3000, 1000
+		}
+		return nil
+	}
+	if err := exp.ParseFlags(fs, args, quickPreset); err != nil {
+		return err
+	}
+	if err := r.Base.Validate(); err != nil {
 		return err
 	}
 
@@ -81,16 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	r := exp.NewRunner()
-	r.Base.MeasureCycles = *cycles
-	r.Base.WarmupCycles = *warmup
-	r.Base.Seed = *seed
-	r.Workers = *workers
-	r.RunTimeout = *timeout
-	if *quick {
-		r.Base.MeasureCycles = 3000
-		r.Base.WarmupCycles = 1000
-	}
 	if *verbose {
 		r.Progress = stderr
 	}
@@ -105,8 +107,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		r.Benchmarks = subset
 	}
-	if *journal != "" {
-		j, err := exp.OpenJournal(*journal)
+	if journal != "" {
+		j, err := exp.OpenJournal(journal)
 		if err != nil {
 			return err
 		}
@@ -130,12 +132,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	var report strings.Builder
+	fmt.Fprintf(&report, "# ARI reproduction report\n\nGenerated by `ariexp`; %d measured + %d warmup NoC cycles per run, seed %d.\n\n",
+		r.Base.MeasureCycles, r.Base.WarmupCycles, r.Base.Seed)
 	for _, id := range ids {
 		f, err := exp.Generate(r, id)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, f.String())
+		report.WriteString(f.Markdown())
 		if *csvDir != "" && f.Table != nil {
 			path := filepath.Join(*csvDir, "fig_"+sanitize(id)+".csv")
 			if err := os.WriteFile(path, []byte(f.Table.CSV()), 0o644); err != nil {
@@ -143,6 +149,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	fmt.Fprintf(stdout, "(%d simulations, %s)\n", r.Runs(), time.Since(start).Round(time.Millisecond))
+	elapsed := time.Since(start)
+	if *csvDir != "" {
+		fmt.Fprintf(&report, "---\n\n%d simulations in %s.\n", r.Runs(), elapsed.Round(time.Second))
+		if err := os.WriteFile(filepath.Join(*csvDir, "report.md"), []byte(report.String()), 0o644); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(stdout, "(%d simulations, %s)\n", r.Runs(), elapsed.Round(time.Millisecond))
 	return nil
 }

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/exp"
 )
 
 func main() {
@@ -62,6 +63,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	fs := flag.NewFlagSet("arigate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// Jobs without an explicit config resolve against base, so its horizons
+	// must match the replicas' or the gateway and replicas disagree on keys.
+	base := core.DefaultConfig()
+	base.MeasureCycles, base.WarmupCycles = 10000, 3000
+	exp.HorizonFlags(fs, &base)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:9090", "listen address")
 		replicas  = fs.String("replicas", "", "comma-separated ariserve base URLs (required)")
@@ -69,14 +75,15 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		vnodes    = fs.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per replica on the hash ring")
 		probe     = fs.Duration("probe-interval", 500*time.Millisecond, "readyz health-probe cadence")
 		threshold = fs.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit")
-		cycles    = fs.Int64("cycles", 10000, "default measured cycles (must match the replicas' base)")
-		warmup    = fs.Int64("warmup", 3000, "default warmup cycles (must match the replicas' base)")
 		traceSamp = fs.Int("trace-sample", 0, "start a distributed trace on every Nth routed job (0 disables; incoming X-Ari-Trace is always honoured)")
 		traceCap  = fs.Int("trace-cap", 0, "span-recorder ring capacity (0 = default)")
 		sloTarget = fs.Duration("slo-target", 2*time.Second, "route-latency SLO threshold")
 		sloGoal   = fs.Float64("slo-goal", 0.99, "route-latency SLO goal (fraction of routes within the target)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := base.Validate(); err != nil {
 		return err
 	}
 	var urls []string
@@ -88,10 +95,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	if len(urls) == 0 {
 		return fmt.Errorf("no replicas: pass -replicas http://host:port[,...]")
 	}
-
-	base := core.DefaultConfig()
-	base.MeasureCycles = *cycles
-	base.WarmupCycles = *warmup
 
 	g, err := cluster.New(cluster.Config{
 		Base:             base,

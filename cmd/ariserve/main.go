@@ -66,17 +66,18 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	fs := flag.NewFlagSet("ariserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	r := exp.NewRunner()
+	var journal string
+	exp.HorizonFlags(fs, &r.Base)
+	exp.ShardsFlag(fs, &r.Base)
+	exp.JournalFlag(fs, &journal)
+	exp.TimeoutFlag(fs, &r.RunTimeout)
+	fs.IntVar(&r.MaxRetries, "retries", 1, "per-run retries for timed-out runs (transient contention)")
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address")
-		journal  = fs.String("journal", "", "JSONL job journal; a killed server restarts from it")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM")
 		inflight = fs.Int("inflight", 0, "max concurrent simulations (0 = GOMAXPROCS / shards)")
-		shards   = fs.Int("shards", 0, "per-run intra-run parallelism: worker shards per simulation (0/1 = serial)")
 		queue    = fs.Int("queue", 0, "admitted-but-waiting slots (0 = 2x inflight, negative = none)")
-		cycles   = fs.Int64("cycles", 10000, "default measured cycles per run")
-		warmup   = fs.Int64("warmup", 3000, "default warmup cycles per run")
-		timeout  = fs.Duration("timeout", 0, "per-run wall-time cap (0 = unlimited)")
-		retries  = fs.Int("retries", 1, "per-run retries for timed-out runs (transient contention)")
 		peers    = fs.String("peers", "", "comma-separated peer ariserve URLs: jobs journalled on a peer are adopted instead of re-run")
 		peerTO   = fs.Duration("peer-timeout", time.Second, "per-submission budget for the peer result-fetch")
 		traceS   = fs.Int("trace-sample", 0, "start a trace on every Nth un-traced submission (0 disables; incoming X-Ari-Trace is always honoured)")
@@ -89,15 +90,11 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	r := exp.NewRunner()
-	r.Base.MeasureCycles = *cycles
-	r.Base.WarmupCycles = *warmup
-	r.Base.Shards = *shards
-	r.RunTimeout = *timeout
-	r.MaxRetries = *retries
-	if *journal != "" {
-		j, err := exp.OpenJournal(*journal)
+	if err := r.Base.Validate(); err != nil {
+		return err
+	}
+	if journal != "" {
+		j, err := exp.OpenJournal(journal)
 		if err != nil {
 			return err
 		}

@@ -31,6 +31,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -53,56 +54,39 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("arisweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	base := core.DefaultConfig()
+	base.Scheme = core.AdaARI
+	base.MeasureCycles, base.WarmupCycles = 8000, 2000
 	var (
-		param   = fs.String("param", "speedup", "speedup | vcs | replink | mesh | niqueue | starvation | priolevels")
-		bench   = fs.String("bench", "bfs", "benchmark")
-		scheme  = fs.String("scheme", "Ada-ARI", "scheme under sweep")
-		cycles  = fs.Int64("cycles", 8000, "measured cycles")
-		warmup  = fs.Int64("warmup", 2000, "warmup cycles")
-		seed    = fs.Uint64("seed", 1, "seed")
-		journal = fs.String("journal", "", "JSONL result journal; an interrupted sweep resumes from it")
-		timeout = fs.Duration("timeout", 0, "per-run wall-time limit (0 = unlimited); with -server it becomes the job's timeout_ms and bounds the submission round trip")
-		server  = fs.String("server", "", "ariserve base URL; points run remotely via the retrying client")
-		shards  = fs.Int("shards", 0, "per-run intra-run parallelism: worker shards per simulation (0/1 = serial; results byte-identical)")
+		journal string
+		timeout time.Duration
+	)
+	exp.SchemeFlag(fs, &base)
+	exp.HorizonFlags(fs, &base)
+	exp.SeedFlag(fs, &base)
+	exp.ShardsFlag(fs, &base)
+	exp.FaultFlags(fs, &base)
+	exp.JournalFlag(fs, &journal)
+	exp.TimeoutFlag(fs, &timeout)
+	var (
+		param  = fs.String("param", "speedup", "speedup | vcs | replink | mesh | niqueue | starvation | priolevels")
+		bench  = fs.String("bench", "bfs", "benchmark")
+		server = fs.String("server", "", "ariserve base URL; points run remotely via the retrying client")
 
 		obsInterval = fs.Int64("obs-interval", 0, "metrics sampling interval in NoC cycles for locally-run points (0 = off)")
 		obsDir      = fs.String("obs-dir", ".", "directory for per-point metric CSVs (metrics_<label>.csv)")
-
-		corruptProb = fs.Float64("corrupt-prob", 0, "per-cycle flit-corruption burst probability applied to every point; > 0 enables fault injection and the NoC recovery layer")
-		linkDeath   = fs.Float64("link-death", 0, "per-cycle permanent link-death probability applied to every point; > 0 enables fault injection with fault-adaptive routing")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
+	// Every sweep point inherits base, so a bad flag fails here rather than
+	// at the first run (or on the server).
+	if err := base.Validate(); err != nil {
+		return err
+	}
 	kernel, err := trace.ByName(*bench)
 	if err != nil {
 		return err
-	}
-	sch, err := core.ParseScheme(*scheme)
-	if err != nil {
-		return err
-	}
-	// Reject a bad shard count up front: every sweep point inherits it, so
-	// letting config validation catch it at the first run (or worse, on the
-	// server) turns a flag typo into a late runtime error.
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
-	}
-
-	base := core.DefaultConfig()
-	base.Scheme = sch
-	base.WarmupCycles = *warmup
-	base.MeasureCycles = *cycles
-	base.Seed = *seed
-	base.Shards = *shards
-	if *corruptProb < 0 || *corruptProb > 1 || *linkDeath < 0 || *linkDeath > 1 {
-		return fmt.Errorf("-corrupt-prob and -link-death must be in [0,1]")
-	}
-	if *corruptProb > 0 || *linkDeath > 0 {
-		base.Fault.Enabled = true
-		base.Fault.CorruptProb = *corruptProb
-		base.Fault.LinkDeathProb = *linkDeath
 	}
 
 	// Report the effective parallelism of the sweep (concurrent runs x
@@ -203,10 +187,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// past its budget any more than a local one can.
 			req := serve.JobRequest{Bench: *bench, Config: &cfg}
 			ctx := context.Background()
-			if *timeout > 0 {
+			if timeout > 0 {
 				req.TimeoutMs = timeout.Milliseconds()
 				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, 4**timeout)
+				ctx, cancel = context.WithTimeout(ctx, 4*timeout)
 				defer cancel()
 			}
 			resp, err := cli.Submit(ctx, req)
@@ -216,9 +200,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return resp.Result, nil
 		}
 	} else {
-		runner := &exp.Runner{Base: base, RunTimeout: *timeout}
-		if *journal != "" {
-			j, err := exp.OpenJournal(*journal)
+		runner := &exp.Runner{Base: base, RunTimeout: timeout}
+		if journal != "" {
+			j, err := exp.OpenJournal(journal)
 			if err != nil {
 				return err
 			}
@@ -240,7 +224,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "sweep %s on %s (%s), %d measured cycles\n\n", *param, *bench, sch, *cycles)
+	fmt.Fprintf(stdout, "sweep %s on %s (%s), %d measured cycles\n\n", *param, *bench, base.Scheme, base.MeasureCycles)
 	fmt.Fprintf(stdout, "%-10s %10s %10s %14s %12s\n", *param, "IPC", "vs first", "stall/reply", "rep latency")
 	var first float64
 	for _, p := range points {

@@ -18,6 +18,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-bench", "nosuchbench"},
 		{"-scheme", "nosuchscheme"},
 		{"-nosuchflag"},
+		{"-corrupt-prob", "2"},
+		{"-link-death", "-0.5"},
+		{"-shards", "-1"},
 	} {
 		if err := run(args, &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/gpu"
@@ -74,10 +75,11 @@ func (s Scheme) String() string {
 	}
 }
 
-// ParseScheme resolves a paper label (e.g. "Ada-ARI") to its Scheme.
+// ParseScheme resolves a paper label (e.g. "Ada-ARI", matched
+// case-insensitively) to its Scheme.
 func ParseScheme(s string) (Scheme, error) {
 	for sch := Scheme(0); sch < numSchemes; sch++ {
-		if sch.String() == s {
+		if strings.EqualFold(sch.String(), s) {
 			return sch, nil
 		}
 	}

@@ -220,6 +220,19 @@ func TestSchemeProperties(t *testing.T) {
 	}
 }
 
+func TestParseScheme(t *testing.T) {
+	for in, want := range map[string]Scheme{"Ada-ARI": AdaARI, "ada-ari": AdaARI, "DA2MESH+ari": DA2MeshARI} {
+		if got, err := ParseScheme(in); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "Ada ARI", "nosuchscheme"} {
+		if _, err := ParseScheme(in); err == nil {
+			t.Errorf("ParseScheme(%q) succeeded, want error", in)
+		}
+	}
+}
+
 func TestWarmupResetIsolation(t *testing.T) {
 	// A run with warmup must report fewer instructions than one measuring
 	// from cycle 0 over the same total horizon (stats reset works).

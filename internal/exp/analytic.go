@@ -11,7 +11,7 @@ import (
 // AnalyticComparison runs the analytical estimator (internal/analytic)
 // against the cycle-accurate simulator over the benchmark suite and the
 // validation schemes, one row per (benchmark, scheme) point — the
-// estimator-vs-simulator figure behind `arireport -analytic`, and the
+// estimator-vs-simulator figure behind `ariexp -fig analytic`, and the
 // human-readable face of the validate-analytic drift oracle.
 func AnalyticComparison(r *Runner) (*Figure, error) {
 	schemes := analytic.ValidationSchemes()

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -31,18 +30,34 @@ func (f *Figure) String() string {
 	if f.Table != nil {
 		b.WriteString(f.Table.String())
 	}
-	if len(f.Summary) > 0 {
-		keys := make([]string, 0, len(f.Summary))
-		for k := range f.Summary {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "measured %s = %.4f\n", k, f.Summary[k])
-		}
+	for _, k := range stats.SortedKeys(f.Summary) {
+		fmt.Fprintf(&b, "measured %s = %.4f\n", k, f.Summary[k])
 	}
 	for _, n := range f.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
+	}
+	return b.String()
+}
+
+// Markdown renders the figure as one section of a Markdown report.
+func (f *Figure) Markdown() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "## %s — %s\n\n", f.ID, f.Title)
+	if f.Paper != "" {
+		fmt.Fprintf(&b, "> paper: %s\n\n", f.Paper)
+	}
+	if f.Table != nil {
+		b.WriteString(f.Table.Markdown())
+		b.WriteByte('\n')
+	}
+	if keys := stats.SortedKeys(f.Summary); len(keys) > 0 {
+		for _, k := range keys {
+			fmt.Fprintf(&b, "- **%s** = %.4f\n", k, f.Summary[k])
+		}
+		b.WriteByte('\n')
+	}
+	for _, n := range f.Notes {
+		fmt.Fprintf(&b, "*%s*\n\n", n)
 	}
 	return b.String()
 }
@@ -82,7 +97,22 @@ func Registry() []struct {
 		{"fault", FaultFigure},
 		{"loadlat", LoadLatency},
 		{"analytic", AnalyticComparison},
+		{"decompose", func(r *Runner) (*Figure, error) { return Decompose(r.Base, tracedBench(r), tracedSample) }},
+		{"slo", func(r *Runner) (*Figure, error) { return SLOFigure(r.Base, tracedBench(r), tracedSample, 0) }},
 	}
+}
+
+// tracedSample is the packet sampling rate of the trace-sampled figures
+// (decompose, slo): every 4th packet.
+const tracedSample = 4
+
+// tracedBench is the kernel the trace-sampled figures run on: the first of
+// the runner's benchmarks, bfs when the runner has none.
+func tracedBench(r *Runner) string {
+	if len(r.Benchmarks) == 0 {
+		return "bfs"
+	}
+	return r.Benchmarks[0].Name
 }
 
 // Generate produces the figure with the given id.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// TestSLOFigureDeterministic pins the CI contract for `arireport -slo`: two
+// TestSLOFigureDeterministic pins the CI contract for `ariexp -fig slo`: two
 // invocations over the same seeded config produce byte-identical tables and
 // identical summaries, and the figure's semantics hold — a derived threshold
 // puts the first scheme's compliance at ~p95, compliance stays in [0,1], and

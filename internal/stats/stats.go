@@ -351,6 +351,23 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
+// Markdown renders the table as a Markdown table (header row, separator,
+// body rows; cells are written verbatim).
+func (t *Table) Markdown() string {
+	var b strings.Builder
+	writeRow := func(cells []string) {
+		b.WriteString("| ")
+		b.WriteString(strings.Join(cells, " | "))
+		b.WriteString(" |\n")
+	}
+	writeRow(t.header)
+	b.WriteString("|" + strings.Repeat("---|", len(t.header)) + "\n")
+	for _, row := range t.rows {
+		writeRow(row)
+	}
+	return b.String()
+}
+
 // SortedKeys returns the keys of m in ascending order; used to iterate maps
 // deterministically when printing.
 func SortedKeys[K int | string, V any](m map[K]V) []K {

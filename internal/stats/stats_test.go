@@ -167,6 +167,11 @@ func TestTable(t *testing.T) {
 	if len(lines) != 4 { // header, separator, 2 rows
 		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), out)
 	}
+	tb.AddRow("a, \"b\"") // CSV would quote this cell; Markdown writes it verbatim
+	want := "| name | value |\n|---|---|\n| alpha | 1 |\n| beta | 2.50 |\n| a, \"b\" |  |\n"
+	if got := tb.Markdown(); got != want {
+		t.Fatalf("Markdown:\n%q\nwant:\n%q", got, want)
+	}
 }
 
 func TestSortedKeys(t *testing.T) {
