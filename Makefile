@@ -3,7 +3,7 @@ DATE := $(shell date +%Y%m%d)
 # their base date).
 BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: check test bench bench-scale benchdiff perfcheck validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
+.PHONY: check fmt test bench bench-scale benchdiff perfcheck validate-analytic fuzz soak chaos cluster-soak loadtest obs profile
 
 # Shard-scaling budgets enforced by benchdiff -scale: 4-shard stepping must
 # be at least 2x faster than serial on the 16x16 mesh (the recorded figure
@@ -34,12 +34,17 @@ BENCH_PKGS := ./internal/noc ./internal/analytic ./internal/cluster ./internal/o
 	./internal/rng ./internal/trace ./internal/gpu ./internal/cache ./internal/mem .
 BENCH_MATCH := 'NetworkStep|SimulatorStep|AnalyticSuite|GateRoute|HistogramObserve|$(LAYER_BENCH)'
 
-# check is the full gate: build everything, vet, and run all tests with the
-# race detector (covers the equivalence, golden, property, and race suites).
-check:
+# check is the full gate: formatting, build everything, vet, and run all
+# tests with the race detector (covers the equivalence, golden, property,
+# and race suites).
+check: fmt
 	go build ./...
 	go vet ./...
 	go test -race ./...
+
+# fmt fails, listing the files, when any Go file differs from gofmt output.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...

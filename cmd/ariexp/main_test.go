@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clitest"
 	"repro/internal/core"
 	"repro/internal/exp"
 )
@@ -115,3 +116,7 @@ func TestRunSLOFigure(t *testing.T) {
 		return exp.SLOFigure(base, "srad", 4, 0)
 	})
 }
+
+// TestMainHelpExitsZero: -h prints the usage text and exits 0, with no
+// "flag: help requested" error line.
+func TestMainHelpExitsZero(t *testing.T) { clitest.HelpExitsZero(t, "ariexp", main) }

@@ -51,10 +51,7 @@ import (
 func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	if err := run(os.Args[1:], os.Stdout, os.Stderr, sigs); err != nil {
-		fmt.Fprintln(os.Stderr, "arigate:", err)
-		os.Exit(1)
-	}
+	exp.Exit("arigate", run(os.Args[1:], os.Stdout, os.Stderr, sigs))
 }
 
 // run is the testable entry point: it routes until a signal arrives on sigs

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
@@ -129,3 +130,7 @@ func TestGateRoutesAndDrains(t *testing.T) {
 		t.Errorf("shutdown summary missing routed count:\n%s", out.String())
 	}
 }
+
+// TestMainHelpExitsZero: -h prints the usage text and exits 0, with no
+// "flag: help requested" error line.
+func TestMainHelpExitsZero(t *testing.T) { clitest.HelpExitsZero(t, "arigate", main) }

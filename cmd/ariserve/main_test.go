@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
@@ -148,3 +149,7 @@ func TestServeSubmitDrainSmoke(t *testing.T) {
 		t.Errorf("restart summary missing cache hit:\n%s", out2.String())
 	}
 }
+
+// TestMainHelpExitsZero: -h prints the usage text and exits 0, with no
+// "flag: help requested" error line.
+func TestMainHelpExitsZero(t *testing.T) { clitest.HelpExitsZero(t, "ariserve", main) }

@@ -40,10 +40,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "arisim:", err)
-		os.Exit(1)
-	}
+	exp.Exit("arisim", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable entry point: it parses args, runs (or estimates) the

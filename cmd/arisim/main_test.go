@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clitest"
 	"repro/internal/core"
 )
 
@@ -78,3 +79,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestMainHelpExitsZero: -h prints the usage text and exits 0, with no
+// "flag: help requested" error line.
+func TestMainHelpExitsZero(t *testing.T) { clitest.HelpExitsZero(t, "arisim", main) }

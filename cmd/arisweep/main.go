@@ -43,10 +43,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "arisweep:", err)
-		os.Exit(1)
-	}
+	exp.Exit("arisweep", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable entry point: it parses args, executes the sweep and

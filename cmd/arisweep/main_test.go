@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clitest"
 	"repro/internal/exp"
 	"repro/internal/serve"
 )
@@ -106,3 +107,7 @@ func TestRunJournalledSweepResumes(t *testing.T) {
 		t.Errorf("second pass did not report resuming:\n%s", err2.String())
 	}
 }
+
+// TestMainHelpExitsZero: -h prints the usage text and exits 0, with no
+// "flag: help requested" error line.
+func TestMainHelpExitsZero(t *testing.T) { clitest.HelpExitsZero(t, "arisweep", main) }

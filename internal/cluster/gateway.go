@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,6 +88,9 @@ type ReplicaStats struct {
 	ReplicaHealth
 	// Routed counts attempts sent to this replica (including failed ones).
 	Routed int64 `json:"routed"`
+	// InFlight is the number of forwards this gateway has open to the
+	// replica right now — the load routing balances on.
+	InFlight int `json:"in_flight"`
 }
 
 // Gateway is the arigate front door: an http.Handler that routes job
@@ -119,6 +123,15 @@ type Gateway struct {
 	shed      int64
 	failovers int64
 	routed    map[string]int64
+	open      map[string]int      // replica -> forwards open to it
+	openKeys  map[string]keyRoute // key -> replica it is in flight at
+}
+
+// keyRoute records where a key's open forwards went: refs counts them, and
+// replica is the owner the latest of them was sent to.
+type keyRoute struct {
+	replica string
+	refs    int
 }
 
 // New builds a Gateway; call Start to begin health probing and Close to
@@ -159,7 +172,9 @@ func New(cfg Config) (*Gateway, error) {
 		slo: obs.NewSLOTracker([]obs.Objective{
 			{Name: "route_latency", Threshold: target.Microseconds(), Goal: goal},
 		}),
-		routed: make(map[string]int64, len(cfg.Replicas)),
+		routed:   make(map[string]int64, len(cfg.Replicas)),
+		open:     make(map[string]int, len(cfg.Replicas)),
+		openKeys: make(map[string]keyRoute),
 	}
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/v1/jobs", g.handleJobs)
@@ -205,7 +220,9 @@ func (g *Gateway) Stats() Stats {
 		Replicas:  make([]ReplicaStats, 0, len(rows)),
 	}
 	for _, row := range rows {
-		st.Replicas = append(st.Replicas, ReplicaStats{ReplicaHealth: row, Routed: g.routed[row.URL]})
+		st.Replicas = append(st.Replicas, ReplicaStats{
+			ReplicaHealth: row, Routed: g.routed[row.URL], InFlight: g.open[row.URL],
+		})
 	}
 	return st
 }
@@ -238,9 +255,10 @@ type attemptResult struct {
 	body          []byte
 }
 
-// handleJobs routes one submission: consistent-hash owners, healthy-first,
-// tried one after another, failing over on shed/unavailable/transport
-// errors, and shedding 429 + Retry-After itself when every owner is out.
+// handleJobs routes one submission: consistent-hash owners, healthy ones
+// only, least busy first (rankOwners), tried one after another, failing over
+// on shed/unavailable/transport errors, and shedding 429 + Retry-After itself
+// when every owner is out.
 func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -303,16 +321,22 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	// Failover, one owner at a time. A job is a pure function of its key, so
 	// a second copy racing the first could only repeat it: each owner is
-	// tried only after the previous one has answered or failed.
+	// tried only after the previous one has answered or failed. The owners
+	// are ranked in the same critical section that opens the first forward,
+	// so two submissions arriving together see each other's load.
 	ctx := r.Context()
 	maxRetryAfter := 0
 	rawRetryAfter := ""
-	for i, rep := range cands {
+	for i := range cands {
 		g.mu.Lock()
-		if i > 0 {
+		if i == 0 {
+			g.rankOwners(key, cands)
+		} else {
 			g.failovers++
 		}
+		rep := cands[i]
 		g.routed[rep]++
+		g.openForward(key, rep)
 		g.mu.Unlock()
 		// Each attempt gets its own child span and propagates it to the
 		// replica, so the replica's spans parent under the attempt that
@@ -327,6 +351,9 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		res := g.forward(ctx, rep, body, attCtx)
 		g.attemptHist.ObserveDuration(time.Since(t0))
+		g.mu.Lock()
+		g.closeForward(key, rep)
+		g.mu.Unlock()
 		if att.Trace != "" {
 			att.End()
 			if res.err != nil {
@@ -388,6 +415,41 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	recordRoot("shed")
 	g.slo.Fail()
 	g.shedOne(w, maxRetryAfter, rawRetryAfter)
+}
+
+// rankOwners orders a key's healthy owners for the failover loop. If the key
+// is already in flight through this gateway, its replica goes first, so
+// concurrent duplicates meet at one replica: a duplicate that waits there for
+// an execution slot behind the first is answered from that replica's store
+// instead of running twice. The rest are stably
+// sorted by open forwards: a job never queues behind another on a busy
+// owner while a second owner sits idle, and an idle cluster keeps ring
+// order. Called with g.mu held.
+func (g *Gateway) rankOwners(key string, cands []string) {
+	slices.SortStableFunc(cands, func(a, b string) int { return g.open[a] - g.open[b] })
+	if kr, ok := g.openKeys[key]; ok {
+		if i := slices.Index(cands, kr.replica); i > 0 {
+			copy(cands[1:i+1], cands[:i])
+			cands[0] = kr.replica
+		}
+	}
+}
+
+// openForward and closeForward bracket one forward of key to replica in the
+// load counts rankOwners reads. Called with g.mu held.
+func (g *Gateway) openForward(key, replica string) {
+	g.open[replica]++
+	g.openKeys[key] = keyRoute{replica: replica, refs: g.openKeys[key].refs + 1}
+}
+
+func (g *Gateway) closeForward(key, replica string) {
+	g.open[replica]--
+	if kr := g.openKeys[key]; kr.refs > 1 {
+		kr.refs--
+		g.openKeys[key] = kr
+	} else {
+		delete(g.openKeys, key)
+	}
 }
 
 // forward performs one proxied POST /v1/jobs round trip to replica.

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,6 +43,39 @@ func okJobs(key string) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(serve.JobResponse{Key: key, Cached: false})
+	}
+}
+
+// holdGate returns a channel for heldJobs and the func that closes it, safe
+// to call twice. Tests also defer it: a failed test must not leave a fake
+// replica's cleanup Close waiting on a held handler.
+func holdGate() (<-chan struct{}, func()) {
+	ch := make(chan struct{})
+	return ch, sync.OnceFunc(func() { close(ch) })
+}
+
+// heldJobs answers like okJobs, but holds each submission hold matches until
+// release is closed.
+func heldJobs(hold func(serve.JobRequest) bool, release <-chan struct{}) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var q serve.JobRequest
+		json.NewDecoder(r.Body).Decode(&q)
+		if hold(q) {
+			<-release
+		}
+		okJobs("k")(w, r)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -275,15 +310,135 @@ func TestGatewayDoesNotDuplicateSlowPrimary(t *testing.T) {
 	}
 }
 
+// TestGatewayRoutesAroundBusyPrimary: while a slow job holds its primary, a
+// second key with the same primary goes straight to the idle owner — one
+// attempt, no failover — instead of queueing behind the first.
+func TestGatewayRoutesAroundBusyPrimary(t *testing.T) {
+	base := core.DefaultConfig()
+	slowReq := serve.JobRequest{Bench: "bfs", Seed: 1}
+	held, release := holdGate()
+	defer release()
+	hold := func(q serve.JobRequest) bool { return q.Seed == slowReq.Seed }
+	a := startFakeReplica(t, heldJobs(hold, held))
+	b := startFakeReplica(t, heldJobs(hold, held))
+	g := gateFor(t, Config{Base: base, Replicas: []string{a.ts.URL, b.ts.URL}})
+	primary := g.Ring().Owners(jobKeyFor(t, base, slowReq), 1)[0]
+	if primary != a.ts.URL {
+		a, b = b, a // name the primary a
+	}
+	fastReq := serve.JobRequest{Bench: "bfs", Seed: 2}
+	for g.Ring().Owners(jobKeyFor(t, base, fastReq), 1)[0] != primary {
+		fastReq.Seed++
+	}
+
+	slow := make(chan int)
+	go func() { slow <- postJob(t, g, slowReq).Code }()
+	waitFor(t, "the slow job to reach its primary", func() bool { return a.hits.Load() == 1 })
+
+	if w := postJob(t, g, fastReq); w.Code != http.StatusOK {
+		t.Fatalf("second job: %d %s", w.Code, w.Body)
+	}
+	if a.hits.Load() != 1 || b.hits.Load() != 1 {
+		t.Fatalf("hits = busy primary %d + idle owner %d, want the second job's one attempt on the idle owner",
+			a.hits.Load(), b.hits.Load())
+	}
+	if st := g.Stats(); st.Failovers != 0 {
+		t.Fatalf("failovers = %d, want 0: the idle owner was the first choice", st.Failovers)
+	}
+	release()
+	if code := <-slow; code != http.StatusOK {
+		t.Fatalf("slow job: %d", code)
+	}
+}
+
+// TestGatewayKeepsConcurrentDuplicatesTogether: a second submission of a key
+// already in flight goes to the replica running it, even though the other
+// owner is idle, so the replica answers it from its store rather than a
+// second run.
+func TestGatewayKeepsConcurrentDuplicatesTogether(t *testing.T) {
+	base := core.DefaultConfig()
+	req := serve.JobRequest{Bench: "bfs"}
+	held, release := holdGate()
+	defer release()
+	all := func(serve.JobRequest) bool { return true }
+	a := startFakeReplica(t, heldJobs(all, held))
+	b := startFakeReplica(t, heldJobs(all, held))
+	g := gateFor(t, Config{Base: base, Replicas: []string{a.ts.URL, b.ts.URL}})
+
+	codes := make(chan int, 2)
+	for n := int32(1); n <= 2; n++ {
+		go func() { codes <- postJob(t, g, req).Code }()
+		waitFor(t, "the submission to reach a replica", func() bool { return a.hits.Load()+b.hits.Load() == n })
+	}
+	if a.hits.Load() != 2 && b.hits.Load() != 2 {
+		t.Fatalf("hits = %d + %d, want both duplicates on one replica", a.hits.Load(), b.hits.Load())
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("duplicate %d: %d", i, code)
+		}
+	}
+	st := g.Stats()
+	if st.Failovers != 0 {
+		t.Fatalf("failovers = %d, want 0", st.Failovers)
+	}
+	for _, row := range st.Replicas {
+		if row.InFlight != 0 {
+			t.Fatalf("replica %s still counts %d open forwards after both answered", row.URL, row.InFlight)
+		}
+	}
+}
+
+// TestGatewayIdleClusterTriesOwnersInRingOrder: with no forward open, the
+// failover loop walks a key's owners in ring order, exactly as before
+// routing weighed load.
+func TestGatewayIdleClusterTriesOwnersInRingOrder(t *testing.T) {
+	base := core.DefaultConfig()
+	var mu sync.Mutex
+	var tried []string
+	shedding := func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		tried = append(tried, "http://"+r.Host)
+		mu.Unlock()
+		w.WriteHeader(http.StatusTooManyRequests)
+	}
+	var urls []string
+	for i := 0; i < 3; i++ {
+		urls = append(urls, startFakeReplica(t, shedding).ts.URL)
+	}
+	g := gateFor(t, Config{Base: base, Replicas: urls, Replication: 3})
+
+	for seed := uint64(1); seed <= 8; seed++ {
+		req := serve.JobRequest{Bench: "bfs", Seed: seed}
+		mu.Lock()
+		tried = tried[:0]
+		mu.Unlock()
+		if w := postJob(t, g, req); w.Code != http.StatusTooManyRequests {
+			t.Fatalf("seed %d: %d %s", seed, w.Code, w.Body)
+		}
+		want := g.Ring().Owners(jobKeyFor(t, base, req), 3)
+		mu.Lock()
+		got := slices.Clone(tried)
+		mu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: owners tried %v, want ring order %v", seed, got, want)
+		}
+	}
+}
+
 func TestGatewayEndpoints(t *testing.T) {
-	a := startFakeReplica(t, okJobs("k"))
+	held, release := holdGate()
+	defer release()
+	a := startFakeReplica(t, heldJobs(func(q serve.JobRequest) bool { return q.Seed == 1 }, held))
 	g := gateFor(t, Config{Base: core.DefaultConfig(), Replicas: []string{a.ts.URL}, ProbeInterval: 10 * time.Millisecond})
 	g.Start()
 
 	ts := httptest.NewServer(g)
 	defer ts.Close()
 
-	for _, path := range []string{"/healthz", "/readyz", "/v1/stats", "/metrics"} {
+	get := func(path string) string {
+		t.Helper()
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -293,14 +448,58 @@ func TestGatewayEndpoints(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s = %d %s", path, resp.StatusCode, body)
 		}
-		if path == "/metrics" && !strings.Contains(string(body), "arigate_requests_total") {
+		return string(body)
+	}
+	inFlight := func() (stats int, metric string) {
+		t.Helper()
+		var st Stats
+		if err := json.Unmarshal([]byte(get("/v1/stats")), &st); err != nil {
+			t.Fatalf("stats body: %v", err)
+		}
+		if len(st.Replicas) != 1 {
+			t.Fatalf("stats replicas = %+v", st.Replicas)
+		}
+		body := get("/metrics")
+		if !strings.Contains(body, "arigate_requests_total") {
 			t.Fatalf("metrics missing arigate_requests_total:\n%s", body)
 		}
-		if path == "/v1/stats" {
-			var st Stats
-			if err := json.Unmarshal(body, &st); err != nil {
-				t.Fatalf("stats body: %v", err)
+		prefix := `arigate_replica_in_flight{replica="` + a.ts.URL + `"} `
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				return st.Replicas[0].InFlight, v
 			}
 		}
+		t.Fatalf("metrics missing %s...:\n%s", prefix, body)
+		return 0, ""
+	}
+
+	get("/healthz")
+	get("/readyz")
+	if st, m := inFlight(); st != 0 || m != "0" {
+		t.Fatalf("idle gateway: in_flight %d, gauge %s; want 0", st, m)
+	}
+
+	// A held job: one forward open to the replica until it answers.
+	done := make(chan int)
+	go func() {
+		body, _ := json.Marshal(serve.JobRequest{Bench: "bfs", Seed: 1})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	waitFor(t, "the held job to reach the replica", func() bool { return a.hits.Load() == 1 })
+	if st, m := inFlight(); st != 1 || m != "1" {
+		t.Fatalf("held job: in_flight %d, gauge %s; want 1", st, m)
+	}
+	release()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("held job answered %d", code)
+	}
+	if st, m := inFlight(); st != 0 || m != "0" {
+		t.Fatalf("after the answer: in_flight %d, gauge %s; want 0", st, m)
 	}
 }

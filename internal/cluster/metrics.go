@@ -25,6 +25,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, r := range st.Replicas {
 		p.Sample("arigate_replica_routed_total", obs.Labels("replica", r.URL), float64(r.Routed))
 	}
+	p.Family("arigate_replica_in_flight", "Forwards this gateway has open to the replica; routing prefers the least busy owner.", "gauge")
+	for _, r := range st.Replicas {
+		p.Sample("arigate_replica_in_flight", obs.Labels("replica", r.URL), float64(r.InFlight))
+	}
 	p.Family("arigate_replica_failures_total", "Probe and proxy failures observed for the replica.", "counter")
 	for _, r := range st.Replicas {
 		p.Sample("arigate_replica_failures_total", obs.Labels("replica", r.URL), float64(r.Failures))

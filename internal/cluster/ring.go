@@ -8,11 +8,13 @@
 // failover to re-routing, caching to peer result-fetch, and recovery to
 // replaying a crash-only journal. The degradation ladder, top to bottom:
 //
-//  1. Healthy: jobs route to their primary owner; duplicates anywhere in
-//     the cluster are answered from journals via peer fetch.
-//  2. Slow primary: the gateway waits for it. A second copy on another
-//     owner could only repeat a deterministic run, so owners are tried one
-//     after another, never raced.
+//  1. Healthy: jobs route to their least-busy owner (the primary on an idle
+//     cluster); duplicates anywhere in the cluster are answered from
+//     journals via peer fetch.
+//  2. Busy primary: the job goes to the least-busy owner, never as a second
+//     copy. A second copy on another owner could only repeat a
+//     deterministic run, so owners are tried one after another, never
+//     raced.
 //  3. Dead primary: the readyz-probing circuit breaker opens after
 //     BreakerThreshold consecutive failures and routing falls over to the
 //     next owner on the ring; the probe loop closes the circuit on recovery.

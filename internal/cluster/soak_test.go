@@ -212,19 +212,27 @@ func TestClusterChaosSoakByteIdentical(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(kernels))
 	resps := make([]serve.JobResponse, len(kernels))
-	for i, k := range kernels {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			resps[i], errs[i] = cli.Submit(ctx, serve.JobRequest{Bench: name})
-		}(i, k.Name)
+	submit := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resps[i], errs[i] = cli.Submit(ctx, serve.JobRequest{Bench: kernels[i].Name})
+			}(i)
+		}
 	}
 
-	// Rolling kills: twice, once the cluster has journalled a few runs,
+	// Rolling kills: twice, once the cluster has journalled another run,
 	// hard-kill a replica that holds an admitted job, then restart it. The
 	// aborted run's attempt answers 503 or loses its connection, so every
 	// kill makes the gateway fail over. Each restart is a fresh process
 	// image warming from its crash-only journal.
+	//
+	// Each round strikes at work still outstanding: the kernels go in two
+	// waves, one per round, and a round's wave is submitted only when the
+	// round starts. The gateway spreads a wave over all three replicas, so
+	// the whole suite submitted at once could drain while the first
+	// victim is down, leaving the second round nothing to kill.
 	waitJournalled := func(n int) {
 		t.Helper()
 		deadline := time.Now().Add(time.Minute)
@@ -235,23 +243,27 @@ func TestClusterChaosSoakByteIdentical(t *testing.T) {
 			t.Fatalf("cluster never reached %d journalled runs (at %d)", n, got)
 		}
 	}
-	busyReplica := func() int {
+	busyReplica := func() (int, int) {
 		t.Helper()
 		deadline := time.Now().Add(time.Minute)
 		for time.Now().Before(deadline) {
 			for i, r := range reps {
-				if r.srv.Stats().Admitted > 0 {
-					return i
+				if n := r.srv.Stats().Admitted; n > 0 {
+					return i, n
 				}
 			}
 			time.Sleep(time.Millisecond)
 		}
 		t.Fatal("no replica ever held an admitted job to kill")
-		return -1
+		return -1, 0
 	}
-	for round := 0; round < 2; round++ {
-		waitJournalled(3 + 4*round)
-		victim := busyReplica()
+	half := len(kernels) / 2
+	for round, wave := range [][2]int{{0, half}, {half, len(kernels)}} {
+		done := journalled(reps)
+		submit(wave[0], wave[1])
+		waitJournalled(done + 1)
+		victim, admitted := busyReplica()
+		t.Logf("kill round %d: replica %d holding %d admitted jobs", round+1, victim, admitted)
 		reps[victim].kill(t)
 		// Leave the hole open long enough for the breaker/probes to see it
 		// and for routing to fail over.

@@ -105,4 +105,3 @@ func (g *Gateway) fetchReplicaSpans(ctx context.Context, trace string) []obs.Spa
 	}
 	return merged
 }
-

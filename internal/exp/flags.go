@@ -3,6 +3,8 @@ package exp
 import (
 	"errors"
 	"flag"
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -81,6 +83,16 @@ func ParseFlags(fs *flag.FlagSet, args []string, preset func() error) error {
 		}
 	}
 	return nil
+}
+
+// Exit ends a command's main with run's outcome. A nil error, or
+// flag.ErrHelp after -h printed the usage text, returns, so main exits 0;
+// any other error is printed as "<cmd>: <err>" and exits 1.
+func Exit(cmd string, err error) {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, cmd+":", err)
+		os.Exit(1)
+	}
 }
 
 // schemeValue adapts a core.Scheme to flag.Value without giving the type

@@ -262,20 +262,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		runner:      cfg.Runner,
-		maxInFlight: maxInFlight,
-		queue:       make(chan struct{}, maxInFlight+queueDepth),
-		work:        make(chan struct{}, maxInFlight),
-		monitor:     monitor,
-		started:     time.Now(),
-		peers:       cfg.Peers,
-		peerTimeout: peerTimeout,
-		peerClient:  peerClient,
-		spans:       obs.NewSpanRecorder(cfg.TraceCap),
-		traceSample: cfg.TraceSample,
+		runner:       cfg.Runner,
+		maxInFlight:  maxInFlight,
+		queue:        make(chan struct{}, maxInFlight+queueDepth),
+		work:         make(chan struct{}, maxInFlight),
+		monitor:      monitor,
+		started:      time.Now(),
+		peers:        cfg.Peers,
+		peerTimeout:  peerTimeout,
+		peerClient:   peerClient,
+		spans:        obs.NewSpanRecorder(cfg.TraceCap),
+		traceSample:  cfg.TraceSample,
 		tracePackets: tracePackets,
 		packetSample: packetSample,
-		process:     process,
+		process:      process,
 		slo: obs.NewSLOTracker([]obs.Objective{
 			{Name: "job_latency", Threshold: target.Microseconds(), Goal: goal},
 		}),
